@@ -13,9 +13,10 @@ Events are total truth assignments over the alphabet, encoded as bitmasks
 
 from __future__ import annotations
 
-import itertools
+import operator
 import os
 import time
+from collections import deque
 from typing import Iterable, Mapping, Optional, Sequence
 
 from sympy import And as SAnd, Not as SNot, Or as SOr, Symbol
@@ -41,9 +42,13 @@ def max_states_limit(override: Optional[int] = None) -> int:
 
 
 class MooreMonitor:
-    """Complete deterministic Moore automaton labeled with verdicts."""
+    """Complete deterministic Moore automaton labeled with verdicts.
 
-    __slots__ = ("alphabet", "initial", "delta", "labels")
+    ``_templates`` holds the guard templates once ``guard_templates`` has
+    built them; they live on the monitor so they die with it.
+    """
+
+    __slots__ = ("alphabet", "initial", "delta", "labels", "_templates")
 
     def __init__(
         self,
@@ -56,6 +61,7 @@ class MooreMonitor:
         self.initial = initial
         self.delta = delta
         self.labels = labels
+        self._templates: Optional[list[dict[int, expr.BoolExpr]]] = None
 
     @property
     def n_states(self) -> int:
@@ -104,19 +110,17 @@ class MooreMonitor:
         for q, label in enumerate(self.labels):
             lines.append(f'  q{q} [shape=circle, label="q{q}\\n{label}"];')
         lines.append(f"  __init -> q{self.initial};")
-        for q, edges in enumerate(self.edge_events()):
+        for q, edges in enumerate(guard_templates(self)):
             for dst in sorted(edges):
-                guard = _guard_text(guard_expr(self, edges[dst]))
-                lines.append(f'  q{q} -> q{dst} [label="{guard}"];')
+                lines.append(f'  q{q} -> q{dst} [label="{_guard_text(edges[dst])}"];')
         lines.append("}")
         return "\n".join(lines)
 
     def to_transition_list(self) -> str:
         lines = [f"q{q} {label}" for q, label in enumerate(self.labels)]
-        for q, edges in enumerate(self.edge_events()):
+        for q, edges in enumerate(guard_templates(self)):
             for dst in sorted(edges):
-                guard = _guard_text(guard_expr(self, edges[dst]))
-                lines.append(f"q{q} --{guard}--> q{dst}")
+                lines.append(f"q{q} --{_guard_text(edges[dst])}--> q{dst}")
         return "\n".join(lines)
 
 
@@ -274,39 +278,110 @@ class _Buchi:
         self.good = self._liveness(k)
 
     def _liveness(self, k: int) -> frozenset:
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.transitions)
-        for src, outs in self.transitions.items():
-            for _, _, dst in outs:
-                graph.add_edge(src, dst)
+        succ = {
+            src: [dst for _, _, dst in outs] for src, outs in self.transitions.items()
+        }
         live = set()
-        for scc in nx.strongly_connected_components(graph):
-            cyclic = len(scc) > 1 or any(graph.has_edge(s, s) for s in scc)
-            if cyclic:
+        for scc in _sccs(succ):
+            if len(scc) > 1 or scc[0] in succ[scc[0]]:
                 live.update(s for s in scc if s[1] == k)
+        preds: dict = {s: [] for s in succ}
+        for src, dsts in succ.items():
+            for dst in dsts:
+                preds[dst].append(src)
         good = set(live)
         frontier = list(live)
-        reverse = graph.reverse(copy=False)
         while frontier:
-            node = frontier.pop()
-            for pred in reverse[node]:
+            for pred in preds[frontier.pop()]:
                 if pred not in good:
                     good.add(pred)
                     frontier.append(pred)
         return frozenset(good)
 
-    def successors(self, subset: frozenset, event: int) -> frozenset:
-        out = set()
-        for state in subset:
-            for pm, nm, dst in self.transitions[state]:
-                if pm & event == pm and nm & event == 0 and dst in self.good:
-                    out.add(dst)
-        return frozenset(out)
+    def tables(self, n_props: int) -> tuple[int, list[list[int]]]:
+        """Number the good states 0, 1, ...; return the initial subset and,
+        per good state, event -> bitmask of its good successors.
 
-    def start(self) -> frozenset:
-        return frozenset((self.initial,)) & self.good
+        A transition's events are its cube: the ``pm`` bits set, the ``nm``
+        bits clear, and every submask of the remaining free bits.
+        """
+        number: dict = {}
+        for state in self.transitions:
+            if state in self.good:
+                number[state] = len(number)
+        full = (1 << n_props) - 1
+        tables = []
+        for state in number:
+            table = [0] * (full + 1)
+            for pm, nm, dst in self.transitions[state]:
+                j = number.get(dst)
+                if j is None:
+                    continue
+                bit = 1 << j
+                free = full & ~(pm | nm)
+                sub = free
+                while True:
+                    table[pm | sub] |= bit
+                    if not sub:
+                        break
+                    sub = (sub - 1) & free
+            tables.append(table)
+        start = 1 << number[self.initial] if self.initial in number else 0
+        return start, tables
+
+
+def _sccs(succ: Mapping) -> list[list]:
+    """Strongly connected components of the graph ``node -> successors``
+    (iterative Tarjan; every successor must be a key)."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    out: list[list] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(succ[child])))
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    scc = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        scc.append(member)
+                        if member == node:
+                            break
+                    out.append(scc)
+    return out
+
+
+def _row(tables: list[list[int]], subset: int, n_events: int) -> list[int]:
+    """Per event, the successor subset of ``subset``: its members' tables ORed."""
+    members = [tables[i] for i in range(subset.bit_length()) if subset >> i & 1]
+    if not members:
+        return [0] * n_events
+    row = members[0]
+    for table in members[1:]:
+        row = list(map(operator.or_, row, table))
+    return row
 
 
 def synthesize(
@@ -329,23 +404,24 @@ def synthesize(
         )
     pos_nba = _Buchi(_nnf(f, False), alphabet, limit, deadline)
     neg_nba = _Buchi(_nnf(f, True), alphabet, limit, deadline)
+    pos_start, pos_tables = pos_nba.tables(len(alphabet))
+    neg_start, neg_tables = neg_nba.tables(len(alphabet))
 
+    # A monitor state is a pair of subsets, each a bitmask of good states.
     n_events = 1 << len(alphabet)
-    initial = (pos_nba.start(), neg_nba.start())
+    initial = (pos_start, neg_start)
     numbering = {initial: 0}
     order = [initial]
     delta: list[list[int]] = []
-    queue = [initial]
+    queue = deque([initial])
     while queue:
         if deadline is not None and time.monotonic() > deadline:
             raise SynthesisCapacityError("synthesis timed out")
-        pair = queue.pop(0)
+        pos_set, neg_set = queue.popleft()
         row = []
-        for event in range(n_events):
-            nxt = (
-                pos_nba.successors(pair[0], event),
-                neg_nba.successors(pair[1], event),
-            )
+        for nxt in zip(
+            _row(pos_tables, pos_set, n_events), _row(neg_tables, neg_set, n_events)
+        ):
             num = numbering.get(nxt)
             if num is None:
                 num = len(order)
@@ -390,9 +466,9 @@ def minimize(m: MooreMonitor) -> MooreMonitor:
 
     numbering = {cls[m.initial]: 0}
     order = [cls[m.initial]]
-    queue = [cls[m.initial]]
+    queue = deque([cls[m.initial]])
     while queue:
-        c = queue.pop(0)
+        c = queue.popleft()
         for d in m.delta[representative[c]]:
             if cls[d] not in numbering:
                 numbering[cls[d]] = len(order)
@@ -404,10 +480,6 @@ def minimize(m: MooreMonitor) -> MooreMonitor:
     ]
     labels = [m.labels[representative[c]] for c in order]
     return MooreMonitor(m.alphabet, 0, delta, labels)
-
-
-def run(m: MooreMonitor, events: Iterable[Mapping[str, bool]]) -> list[Verdict]:
-    return m.run(events)
 
 
 _build_cache: dict = {}
@@ -429,27 +501,15 @@ def build(
 
 # --- guard extraction -----------------------------------------------------
 
-_guard_cache: dict = {}
-
-
 def guard_expr(m: MooreMonitor, events: Sequence[int]) -> expr.BoolExpr:
     """Minimal sum-of-products guard covering the events, over time-0 atoms."""
-    key = (id(m), tuple(events))
-    got = _guard_cache.get(key)
-    if got is not None:
-        return got
     if len(events) == m.n_events:
-        got = expr.BTRUE
-    elif not events:
-        got = expr.BFALSE
-    else:
-        symbols = [Symbol(name) for name in m.alphabet]
-        minterms = [
-            [(ev >> i) & 1 for i in range(len(m.alphabet))] for ev in events
-        ]
-        got = _from_sympy(SOPform(symbols, minterms) if symbols else BooleanTrue())
-    _guard_cache[key] = got
-    return got
+        return expr.BTRUE
+    if not events:
+        return expr.BFALSE
+    symbols = [Symbol(name) for name in m.alphabet]
+    minterms = [[(ev >> i) & 1 for i in range(len(m.alphabet))] for ev in events]
+    return _from_sympy(SOPform(symbols, minterms) if symbols else BooleanTrue())
 
 
 def _from_sympy(s) -> expr.BoolExpr:
@@ -494,21 +554,10 @@ def _guard_text(e: expr.BoolExpr) -> str:
 
 
 def guard_templates(m: MooreMonitor) -> list[dict[int, expr.BoolExpr]]:
-    """Per state: successor -> guard over time-0 atoms (cached per monitor)."""
-    key = ("templates", id(m))
-    got = _guard_cache.get(key)
-    if got is None:
-        got = [
+    """Per state: successor -> guard over time-0 atoms (built once per monitor)."""
+    if m._templates is None:
+        m._templates = [
             {dst: guard_expr(m, evs) for dst, evs in edges.items()}
             for edges in m.edge_events()
         ]
-        _guard_cache[key] = got
-    return got
-
-
-def all_events(alphabet: Sequence[str]) -> list[dict[str, bool]]:
-    """Every total assignment over the alphabet, as dicts (test helper)."""
-    out = []
-    for bits in itertools.product((False, True), repeat=len(alphabet)):
-        out.append(dict(zip(alphabet, bits)))
-    return out
+    return m._templates

@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import itertools
 import os
 
 import pytest
 
+from decrv import ltl, oracle, registry, synthesis
 from decrv.cli import main
+from decrv.verdicts import Verdict
 
 SPEC = """
 component sw { s }
@@ -61,6 +64,39 @@ def test_synth_rooms_decentralized_vs_centralized(capsys):
 def test_synth_bundled(capsys):
     assert main(["synth", "amiqual", "--label", "firehazard"]) == 0
     assert capsys.readouterr().out.startswith("firehazard states=")
+
+
+def test_synth_all_labels_exports_match_each_monitor(tmp_path, capsys):
+    # One process exports all 49 monitors and drops each after its export,
+    # so a guard cache keyed by object identity hands a later monitor the
+    # guards of an earlier one.  A second export gives a reused id more
+    # chances to collide.
+    for run in ("a", "b"):
+        assert main(["synth", "amiqual", "--out", str(tmp_path / run)]) == 0
+    capsys.readouterr()
+    reg = registry.bundled("amiqual")
+    for (label, spec), run in itertools.product(reg.monitors.items(), ("a", "b")):
+        m = synthesis.build(spec.formula)
+        edges: dict[int, list[tuple[ltl.Formula, int]]] = {}
+        labels = {}
+        for line in (tmp_path / run / f"{label}.txt").read_text().splitlines():
+            if " --" not in line:
+                q, verdict = line.split()
+                labels[int(q[1:])] = verdict
+                continue
+            src, rest = line.split(" --", 1)
+            guard, dst = rest.rsplit("--> ", 1)
+            edges.setdefault(int(src[1:]), []).append((ltl.parse(guard), int(dst[1:])))
+        assert labels == {q: str(v) for q, v in enumerate(m.labels)}, label
+        for q in range(m.n_states):
+            for mask in range(m.n_events):
+                event = {p: bool(mask >> i & 1) for i, p in enumerate(m.alphabet)}
+                hits = [
+                    dst
+                    for guard, dst in edges[q]
+                    if oracle.evaluate3(guard, [event]) is Verdict.TRUE
+                ]
+                assert hits == [m.step(q, mask)], (label, q, event)
 
 
 def test_synth_capacity_exit_code(capsys):

@@ -168,6 +168,31 @@ def test_centralized_blowup_direction():
     assert combined.n_states > single.n_states
 
 
+@pytest.mark.parametrize(
+    "rooms, subset_states, monitor_states",
+    [(1, 8, 3), (2, 27, 5), (3, 101, 9), (4, 393, 17)],
+)
+def test_centralized_sc_ok_state_counts(rooms, subset_states, monitor_states):
+    raw = synthesis.synthesize(registry.light_switch_family(rooms).inline("sc_ok"))
+    assert raw.n_states == subset_states
+    assert synthesis.minimize(raw).n_states == monitor_states
+
+
+def test_sccs_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3)
+    graphs = [{i: [(i + 1) % 5000] for i in range(5000)}]  # deeper than recursion
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        graphs.append({i: [j for j in range(n) if rng.random() < 0.2] for i in range(n)})
+    for succ in graphs:
+        reference = nx.DiGraph()
+        reference.add_nodes_from(succ)
+        reference.add_edges_from((i, j) for i, js in succ.items() for j in js)
+        expected = {frozenset(c) for c in nx.strongly_connected_components(reference)}
+        assert {frozenset(c) for c in synthesis._sccs(succ)} == expected
+
+
 def test_capacity_ceiling():
     reg = registry.light_switch_family(2)
     with pytest.raises(SynthesisCapacityError):
