@@ -8,6 +8,14 @@ constant true, the state (and hence the verdict) at that round is certain.
 Expansion conditions gate *when* the encoding is expanded: eagerly every
 round, on an explicit trigger over received-verdict literals, or on any
 message arrival (wildcard).
+
+Concrete step: when the previous row is ``{p: true}`` and the memory holds
+every alphabet atom of that round, the new row is ``{delta[p][ev]: true}``
+for the stored event ``ev``.  Building it symbolically stamps each guard,
+substitutes the now-known atoms and simplifies the resulting constant
+tree; that tree, and so its rewrite count, is the same at every round, so
+it is worked out once per ``(p, ev)`` at template time 0 and kept on the
+monitor.  Rows and simplification counts are those of the symbolic path.
 """
 
 from __future__ import annotations
@@ -74,6 +82,44 @@ def sadvs(cond: Trigger, memory: Memory, t_cur: int, t_max: int) -> set[int]:
     return {t for t in range(t_cur + 1, t_max + 1) if sadv(cond, memory, t)}
 
 
+def _event_at(alphabet: tuple[str, ...], memory: Memory, t: int) -> Optional[int]:
+    """Event mask of round t, or None if an alphabet atom is not in memory."""
+    ev = 0
+    for i, name in enumerate(alphabet):
+        value = memory.get(Atom(t, name))
+        if value is None:
+            return None
+        if value:
+            ev |= 1 << i
+    return ev
+
+
+def _concrete_step(
+    monitor: synthesis.MooreMonitor,
+    templates: list[dict[int, BoolExpr]],
+    p: int,
+    ev: int,
+) -> tuple[int, int]:
+    """(successor, rewrite count) of expanding row ``{p: true}`` under event
+    ev, by the symbolic recipe over time-0 atoms; filled once per (p, ev)."""
+    step = monitor._steps.get((p, ev))
+    if step is None:
+        known = {
+            Atom(0, name): bool(ev >> i & 1) for i, name in enumerate(monitor.alphabet)
+        }
+        stats = SimplifyStats()
+        row = {}
+        for q in sorted(templates[p]):
+            e = expr.band(expr.BTRUE, templates[p][q])
+            e = expr.simplify(expr.substitute_atoms(e, known.get), stats)
+            if e is not expr.BFALSE:
+                row[q] = e
+        q = monitor.delta[p][ev]
+        assert row == {q: expr.BTRUE}, (p, ev, row)
+        step = monitor._steps[(p, ev)] = (q, stats.simplifications)
+    return step
+
+
 class EHE:
     """Entries (round, state) -> BoolExpr for one monitor instance."""
 
@@ -124,10 +170,29 @@ class EHE:
         """Expand entries up to t_future; guard atoms for step t-1 -> t are
         stamped t-1.  States whose expression folds to false are dropped.
         When a memory is given each new row is narrowed against it right
-        away, which keeps expressions small across multi-round expansions."""
-        templates = synthesis.guard_templates(self.monitor)
+        away, which keeps expressions small across multi-round expansions.
+
+        A row whose predecessor is ``{p: true}`` and whose round t-1 is
+        fully in memory is a concrete step (see the module docstring): it
+        is looked up, not built, and charges the same rewrite count."""
+        monitor = self.monitor
+        templates = synthesis.guard_templates(monitor)
         for t in range(self.t_last + 1, t_future + 1):
             prev = self.entries[t - 1]
+            if (
+                memory is not None
+                and len(prev) == 1
+                and expr.BTRUE in prev.values()
+                and (ev := _event_at(monitor.alphabet, memory, t - 1)) is not None
+            ):
+                [p] = prev
+                q, n = _concrete_step(monitor, templates, p, ev)
+                if stats is not None:
+                    stats.bump(n)
+                self.entries[t] = {q: expr.BTRUE}
+                self._n_entries += 1
+                self._total_size += expr.BTRUE.size
+                continue
             terms: dict[int, list[BoolExpr]] = {}
             for p, e in prev.items():
                 for q, guard in templates[p].items():

@@ -270,7 +270,8 @@ def _pass(e: BoolExpr, stats: Optional[SimplifyStats]) -> BoolExpr:
         kept.append(t)
 
     for t in kept:  # complement
-        comp = t.operand if isinstance(t, BNot) else bnot(t)
+        # a negation never interned cannot be among the operands
+        comp = t.operand if isinstance(t, BNot) else _interned.get(("n", id(t)))
         if comp in present:
             if stats:
                 stats.bump()

@@ -45,10 +45,12 @@ class MooreMonitor:
     """Complete deterministic Moore automaton labeled with verdicts.
 
     ``_templates`` holds the guard templates once ``guard_templates`` has
-    built them; they live on the monitor so they die with it.
+    built them, and ``_steps`` the concrete EHE steps ``(state, event) ->
+    (successor, rewrite count)`` as ``ehe`` fills them; both live on the
+    monitor so they die with it.
     """
 
-    __slots__ = ("alphabet", "initial", "delta", "labels", "_templates")
+    __slots__ = ("alphabet", "initial", "delta", "labels", "_templates", "_steps")
 
     def __init__(
         self,
@@ -62,6 +64,7 @@ class MooreMonitor:
         self.delta = delta
         self.labels = labels
         self._templates: Optional[list[dict[int, expr.BoolExpr]]] = None
+        self._steps: dict[tuple[int, int], tuple[int, int]] = {}
 
     @property
     def n_states(self) -> int:

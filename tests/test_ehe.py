@@ -174,3 +174,105 @@ def test_dump_rows():
     rows = e.dump().splitlines()
     assert rows[0] == "0 | q0 | true"
     assert all(" | " in row for row in rows)
+
+
+def _symbolic_row(monitor, prev, t, memory):
+    """Reference: the symbolic expansion of row ``prev`` to round t."""
+    stats = expr.SimplifyStats()
+    templates = synthesis.guard_templates(monitor)
+    terms = {}
+    for p, e in prev.items():
+        for q, guard in templates[p].items():
+            terms.setdefault(q, []).append(expr.band(e, expr.stamp(guard, t - 1)))
+    row = {}
+    for q in sorted(terms):
+        combined = expr.seval(expr.disj(terms[q]), memory, stats)
+        if combined is not expr.BFALSE:
+            row[q] = combined
+    return row, stats.simplifications
+
+
+def _step_matches_symbolic(monitor, prev, t, memory):
+    enc = EHE(monitor, t - 1)
+    enc.entries[t - 1] = dict(prev)
+    n0, size0 = enc.n_entries, enc.total_size
+    stats = expr.SimplifyStats()
+    enc.smove(t, stats, memory)
+    row, work = _symbolic_row(monitor, prev, t, memory)
+    assert enc.entries[t] == row
+    assert stats.simplifications == work
+    assert enc.n_entries - n0 == len(row)
+    assert enc.total_size - size0 == sum(e.size for e in row.values())
+
+
+def _full_memory(rng, monitor, t):
+    m = Memory()
+    for name in monitor.alphabet:
+        m.store(Atom(t, name), rng.random() < 0.5)
+    return m
+
+
+def test_concrete_step_matches_symbolic_recipe():
+    rng = random.Random(17)
+    monitors = [fig2a()]
+    while len(monitors) < 25:
+        m = synthesis.build(random_formula(rng, ["a", "b", "c"], rng.randint(1, 3)))
+        if m.n_states > 1:
+            monitors.append(m)
+    for monitor in monitors:
+        monitor._steps.clear()
+        cases = []
+        for _ in range(40):
+            t = rng.randint(1, 6)
+            p = rng.randrange(monitor.n_states)
+            cases.append((p, t, _full_memory(rng, monitor, t - 1)))
+        for p, t, memory in cases:  # cold table
+            _step_matches_symbolic(monitor, {p: expr.BTRUE}, t, memory)
+        filled = dict(monitor._steps)
+        assert filled
+        for p, t, memory in cases:  # warm table
+            _step_matches_symbolic(monitor, {p: expr.BTRUE}, t, memory)
+        assert monitor._steps == filled
+
+
+def test_concrete_step_from_round_zero():
+    # stamping at round 0 is the identity, the table's own time base
+    rng = random.Random(5)
+    monitor = fig2a()
+    monitor._steps.clear()
+    for _ in range(8):
+        memory = _full_memory(rng, monitor, 0)
+        _step_matches_symbolic(monitor, {monitor.initial: expr.BTRUE}, 1, memory)
+    assert monitor._steps
+
+
+def test_step_with_missing_atom_stays_symbolic():
+    rng = random.Random(8)
+    for _ in range(15):
+        monitor = synthesis.build(random_formula(rng, ["a", "b"], rng.randint(1, 3)))
+        if not monitor.alphabet:
+            continue
+        t = rng.randint(1, 4)
+        memory = Memory()
+        dropped = rng.choice(monitor.alphabet)
+        for name in monitor.alphabet:
+            if name != dropped:
+                memory.store(Atom(t - 1, name), rng.random() < 0.5)
+        before = dict(monitor._steps)
+        prev = {rng.randrange(monitor.n_states): expr.BTRUE}
+        _step_matches_symbolic(monitor, prev, t, memory)
+        assert monitor._steps == before
+
+
+def test_multi_entry_row_stays_symbolic():
+    rng = random.Random(11)
+    for _ in range(30):
+        monitor = synthesis.build(random_formula(rng, ["a", "b"], rng.randint(1, 3)))
+        if monitor.n_states < 2:
+            continue
+        t = rng.randint(2, 5)
+        p1, p2 = rng.sample(range(monitor.n_states), 2)
+        # the first entry is true: only the row's size rules out a lookup
+        unknown = expr.batom(Atom(t - 2, "z"))
+        prev = {p1: expr.BTRUE, p2: rng.choice([unknown, expr.bnot(unknown)])}
+        _step_matches_symbolic(monitor, prev, t, _full_memory(rng, monitor, t - 1))

@@ -1,5 +1,6 @@
 """Decentralized replay: round loop, delivery policies, laziness, metrics."""
 
+import hashlib
 import random
 
 import pytest
@@ -260,3 +261,28 @@ def test_timeline_groups_true_runs():
     report = run_simulation(PAIR, trace)
     lines = report.timeline_tsv().splitlines()[1:]
     assert lines == ["light\t2\t3", "light\t6\t6"]
+
+
+# Digests of a 60-round amiqual replay with every EHE row built
+# symbolically; they pin the verdicts and the paper metrics (messages,
+# simplifications, EHE nodes) per round, which concrete steps must keep.
+AMIQUAL_60_VERDICTS_SHA256 = (
+    "13f548205fe72abadc7c9ebf5c8ed890eff483b7c1884d01fa5ca45399007e36"
+)
+AMIQUAL_60_METRICS_SHA256 = (
+    "2b831fd329a55ed48a11ded3d0986ad55fbec4f64f8073c88c543d55750f7f17"
+)
+
+
+def test_amiqual_replay_outputs_pinned():
+    reg = registry.bundled("amiqual")
+    props = sorted(set().union(*(reg.own_props(l) for l in reg.monitors)))
+    trace = random_trace(random.Random(7), props, 60)
+    # the second replay reuses the cached monitors with their step tables
+    for _ in range(2):
+        report = run_simulation(reg, trace)
+        digests = tuple(
+            hashlib.sha256(text.encode()).hexdigest()
+            for text in (report.verdicts_csv(), report.metrics_csv())
+        )
+        assert digests == (AMIQUAL_60_VERDICTS_SHA256, AMIQUAL_60_METRICS_SHA256)
