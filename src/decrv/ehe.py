@@ -238,7 +238,12 @@ class EHE:
             for q in sorted(row):
                 e = row[q]
                 if not isinstance(e, expr.BConst):
-                    narrowed = expr.seval(e, memory, stats)
+                    # entries are simplify fixed points: with no atom
+                    # substituted there is nothing to rewrite
+                    narrowed = expr.substitute_atoms(e, memory.get)
+                    if narrowed is e:
+                        continue
+                    narrowed = expr.simplify(narrowed, stats)
                     if narrowed is expr.BFALSE:
                         del row[q]
                         self._n_entries -= 1

@@ -19,10 +19,6 @@ import time
 from collections import deque
 from typing import Iterable, Mapping, Optional, Sequence
 
-from sympy import And as SAnd, Not as SNot, Or as SOr, Symbol
-from sympy.logic import SOPform
-from sympy.logic.boolalg import BooleanFalse, BooleanTrue
-
 from . import expr, ltl
 from .verdicts import Verdict
 
@@ -503,32 +499,137 @@ def build(
 
 
 # --- guard extraction -----------------------------------------------------
+#
+# A guard is the sum of products that SymPy 1.14's ``SOPform`` picks:
+# Quine-McCluskey merging (``_simplified_pairs``), then its dominance and
+# greedy cover (``_rem_redundancy``), ported here over int bitmasks and
+# walked in SymPy's own order.  A term is a pair ``(v, d)``: the bits of d
+# are don't-cares and every other bit reads as in v.
+
+
+def _bits(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _sop_pairs(terms: list[tuple[int, int]], full: int) -> list[tuple[int, int]]:
+    """Merge terms that differ in one bit, level by level; each level's
+    unmerged terms follow those of the levels merged from it."""
+    out: list[tuple[int, int]] = []
+    while terms:
+        index = {term: i for i, term in enumerate(terms)}
+        merged = [False] * len(terms)
+        level: dict[tuple[int, int], None] = {}  # insertion-ordered set
+        for i in sorted(range(len(terms)), key=lambda i: (terms[i][0].bit_count(), i)):
+            v, d = terms[i]
+            partners = []
+            free = full & ~(v | d)
+            while free:
+                bit = free & -free
+                free ^= bit
+                j = index.get((v | bit, d))
+                if j is not None:
+                    partners.append((j, bit))
+            if partners:
+                merged[i] = True
+                for j, bit in sorted(partners):
+                    merged[j] = True
+                    level[(v, d | bit)] = None
+        out[:0] = [term for term, done in zip(terms, merged) if not done]
+        terms = list(level)
+    return out
+
+
+def _sop_cover(primes: list[tuple[int, int]], events: Sequence[int]) -> list[tuple[int, int]]:
+    """Reduce the prime implicant table (``rows[t]``: primes covering event
+    t, ``cols[p]``: events covered by prime p) by row and column dominance,
+    and, when both are stuck, by keeping the widest prime; return the
+    primes left."""
+    where = {ev: t for t, ev in enumerate(events)}
+    rows = [0] * len(events)
+    cols = []
+    for p, (v, d) in enumerate(primes):
+        col = 0
+        sub = d
+        while True:
+            t = where[v | sub]
+            rows[t] |= 1 << p
+            col |= 1 << t
+            if not sub:
+                break
+            sub = (sub - 1) & d
+        cols.append(col)
+
+    changed = True
+    while changed:
+        changed = False
+        for r, row in enumerate(rows):
+            if not row:
+                continue
+            dominating = -1  # rows holding every prime of row r
+            for p in _bits(row):
+                dominating &= cols[p]
+            for r2 in _bits(dominating & ~(1 << r)):
+                changed = True
+                for p in _bits(rows[r2]):
+                    cols[p] &= ~(1 << r2)
+                rows[r2] = 0
+        for c, col in enumerate(cols):
+            if not col:
+                continue
+            sharing = 0  # primes covering some event of prime c
+            for t in _bits(col):
+                sharing |= rows[t]
+            for c2 in _bits(sharing & ~(1 << c)):
+                if not cols[c2] & ~col:
+                    changed = True
+                    for t in _bits(cols[c2]):
+                        rows[t] &= ~(1 << c2)
+                    cols[c2] = 0
+        if not changed:
+            best = max(range(len(cols)), key=lambda c: cols[c].bit_count())
+            if cols[best].bit_count() > 1:
+                for p, col in enumerate(cols):
+                    hit = col & cols[best]
+                    if p != best and hit:
+                        changed = True
+                        cols[p] ^= hit
+                        for t in _bits(hit):
+                            rows[t] &= ~(1 << p)
+    return [prime for prime, col in zip(primes, cols) if col]
+
 
 def guard_expr(m: MooreMonitor, events: Sequence[int]) -> expr.BoolExpr:
-    """Minimal sum-of-products guard covering the events, over time-0 atoms."""
+    """Sum-of-products guard covering the events, over time-0 atoms.
+
+    It is the cover SymPy's ``SOPform`` picks, a heuristic one that is not
+    always minimal.  It is kept because identical guards keep every export
+    and report byte-identical.  Products and literals come in the order of
+    SymPy's ``ordered()``: positive literals by name, then negated ones by
+    name; products by node count (``1 + #pos + 2 #neg``), then by literal
+    count, then by literal list."""
     if len(events) == m.n_events:
         return expr.BTRUE
     if not events:
         return expr.BFALSE
-    symbols = [Symbol(name) for name in m.alphabet]
-    minterms = [[(ev >> i) & 1 for i in range(len(m.alphabet))] for ev in events]
-    return _from_sympy(SOPform(symbols, minterms) if symbols else BooleanTrue())
-
-
-def _from_sympy(s) -> expr.BoolExpr:
-    if isinstance(s, BooleanTrue):
-        return expr.BTRUE
-    if isinstance(s, BooleanFalse):
-        return expr.BFALSE
-    if isinstance(s, Symbol):
-        return expr.batom(expr.Atom(0, s.name))
-    if isinstance(s, SNot):
-        return expr.bnot(_from_sympy(s.args[0]))
-    if isinstance(s, SAnd):
-        return expr.conj([_from_sympy(a) for a in s.args])
-    if isinstance(s, SOr):
-        return expr.disj([_from_sympy(a) for a in s.args])
-    raise TypeError(f"unexpected sympy node {s!r}")
+    full = m.n_events - 1
+    products = []
+    for v, d in _sop_cover(_sop_pairs([(ev, 0) for ev in events], full), events):
+        lits = sorted(
+            (not v >> i & 1, name)
+            for i, name in enumerate(m.alphabet)
+            if not d >> i & 1
+        )
+        n_neg = sum(neg for neg, _ in lits)
+        products.append((1 + len(lits) + n_neg, len(lits), lits))
+    products.sort()
+    atom = {name: expr.batom(expr.Atom(0, name)) for name in m.alphabet}
+    return expr.disj(
+        expr.conj(expr.bnot(atom[name]) if neg else atom[name] for neg, name in lits)
+        for _, _, lits in products
+    )
 
 
 def _guard_text(e: expr.BoolExpr) -> str:

@@ -2,6 +2,8 @@
 
 import itertools
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -233,3 +235,17 @@ def test_eval_bad_annotations_exit_code(workspace, tmp_path):
 
 def test_eval_missing_file_exit_code(tmp_path):
     assert main(["eval", str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")]) == 1
+
+
+def test_cli_import_loads_neither_sympy_nor_networkx():
+    src = os.path.dirname(os.path.dirname(synthesis.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, decrv.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'networkx')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -276,3 +276,37 @@ def test_multi_entry_row_stays_symbolic():
         unknown = expr.batom(Atom(t - 2, "z"))
         prev = {p1: expr.BTRUE, p2: rng.choice([unknown, expr.bnot(unknown)])}
         _step_matches_symbolic(monitor, prev, t, _full_memory(rng, monitor, t - 1))
+
+
+def _assert_fixed_points(enc):
+    for row in enc.entries.values():
+        for e in row.values():
+            stats = expr.SimplifyStats()
+            assert expr.simplify(e, stats) is e
+            assert stats.simplifications == 0
+
+
+def test_entries_are_simplify_fixed_points():
+    # resolve skips simplify for an entry no memory atom touches; that
+    # loses no rewrite only because every entry is already a fixed point
+    rng = random.Random(23)
+    for _ in range(40):
+        monitor = synthesis.build(random_formula(rng, ["a", "b", "c"], rng.randint(1, 4)))
+        trace = random_trace(rng, sorted(monitor.alphabet), 10)
+        enc = EHE(monitor, 0)
+        memory = Memory()
+        late = []
+        for t, event in enumerate(trace):
+            for name, value in event.items():
+                if rng.random() < 0.6:
+                    memory.store(Atom(t, name), value)
+                else:
+                    late.append((Atom(t, name), value))
+            for _ in range(rng.randint(0, 2)):
+                if late:
+                    memory.store(*late.pop(rng.randrange(len(late))))
+            stats = expr.SimplifyStats()
+            enc.smove(t + 1, stats, memory if rng.random() < 0.7 else None)
+            _assert_fixed_points(enc)
+            enc.resolve(memory, stats)
+            _assert_fixed_points(enc)

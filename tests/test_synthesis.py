@@ -243,3 +243,83 @@ def test_guard_templates_cover_all_events():
                 if expr.evaluate(guard, assignment)
             ]
             assert hits == [m.step(q, mask)]
+
+
+def _sympy_guard(m, events):
+    """Reference: the guard as sympy's SOPform builds it, converted node by
+    node (the conversion ``guard_expr`` used before the bitmask port)."""
+    from sympy import And, Not, Or, Symbol
+    from sympy.logic import SOPform
+
+    from decrv import expr
+
+    def convert(s):
+        if isinstance(s, Symbol):
+            return expr.batom(expr.Atom(0, s.name))
+        if isinstance(s, Not):
+            return expr.bnot(convert(s.args[0]))
+        if isinstance(s, And):
+            return expr.conj([convert(a) for a in s.args])
+        if isinstance(s, Or):
+            return expr.disj([convert(a) for a in s.args])
+        raise TypeError(f"unexpected sympy node {s!r}")
+
+    if len(events) == m.n_events:
+        return expr.BTRUE
+    if not events:
+        return expr.BFALSE
+    symbols = [Symbol(name) for name in m.alphabet]
+    minterms = [[(ev >> i) & 1 for i in range(len(m.alphabet))] for ev in events]
+    return convert(SOPform(symbols, minterms))
+
+
+def _assert_guards_match_sympy(m):
+    for edges in m.edge_events():
+        for events in edges.values():
+            assert synthesis.guard_expr(m, events) is _sympy_guard(m, events)
+
+
+def test_guard_expr_matches_sympy_on_amiqual_and_sc_ok():
+    for decl in registry.bundled("amiqual").monitors.values():
+        _assert_guards_match_sympy(synthesis.build(decl.formula))
+    for rooms in range(1, 5):
+        reg = registry.light_switch_family(rooms)
+        _assert_guards_match_sympy(synthesis.build(reg.inline("sc_ok")))
+
+
+def _random_events(rng, n):
+    """Random truth table (n <= 6) or a union of a few random cubes with
+    some events flipped (any n): sympy's cover of a dense random table
+    over 8 variables takes about a second."""
+    if n <= 6 and rng.random() < 0.5:
+        density = rng.random()
+        return [ev for ev in range(1 << n) if rng.random() < density]
+    full = (1 << n) - 1
+    events = set()
+    for _ in range(rng.randint(1, 4)):
+        care = rng.getrandbits(n) | rng.getrandbits(n)
+        value = rng.getrandbits(n) & care
+        free = full & ~care
+        sub = free
+        while True:
+            events.add(value | sub)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    for _ in range(rng.randint(0, 3)):
+        events ^= {rng.getrandbits(n)}
+    return sorted(events)
+
+
+def test_guard_expr_matches_sympy_on_random_functions():
+    # names whose sorted order is not their bit order
+    pool = ["x10", "x2", "Z", "a", "light", "sw_0", "b1", "B", "q"]
+    rng = random.Random(41)
+    for _ in range(2400):
+        n = rng.randint(1, 8)
+        alphabet = tuple(rng.sample(pool, n))
+        m = synthesis.MooreMonitor(alphabet, 0, [[0] * (1 << n)], [Verdict.UNKNOWN])
+        events = _random_events(rng, n)
+        if rng.random() < 0.5:
+            rng.shuffle(events)
+        assert synthesis.guard_expr(m, events) is _sympy_guard(m, events)
