@@ -29,6 +29,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive(kind):
+    """argparse type: a ``kind`` value above zero."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="decrv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -38,8 +51,8 @@ def build_parser() -> _Parser:
     synth.add_argument("--label", help="synthesize only this monitor")
     synth.add_argument("--centralized", metavar="LABEL", help="inline references first")
     synth.add_argument("--rooms", type=int, help="generate the n-room light-switch spec")
-    synth.add_argument("--max-states", type=int, default=None)
-    synth.add_argument("--timeout", type=float, default=None, help="seconds")
+    synth.add_argument("--max-states", type=_positive(int), default=None)
+    synth.add_argument("--timeout", type=_positive(float), default=None, help="seconds")
     synth.add_argument("--out", help="directory for .dot and transition-list files")
     synth.set_defaults(func=cmd_synth)
 
@@ -56,8 +69,7 @@ def build_parser() -> _Parser:
     replay.add_argument("--delivery", default="immediate",
                         help="immediate | delay:N | reorder:N:SEED")
     replay.add_argument("--seed", type=int, default=0)
-    replay.add_argument("--sequential", action="store_true")
-    replay.add_argument("--max-states", type=int, default=None)
+    replay.add_argument("--max-states", type=_positive(int), default=None)
     replay.set_defaults(func=cmd_replay)
 
     rates = sub.add_parser("rates", help="sensor change-rate analysis")
@@ -144,7 +156,7 @@ def _parse_delivery(text: str, seed: int) -> tuple[simulator.DeliveryPolicy, int
 
 def cmd_replay(args) -> int:
     reg = _load_spec(args.spec)
-    if args.labels:
+    if args.labels is not None:
         reg = reg.restrict([l.strip() for l in args.labels.split(",")])
     peripheries = traceio.load_manifest(args.manifest)
     config = traceio.PollConfig(args.start, args.end, args.interval)
@@ -155,7 +167,6 @@ def cmd_replay(args) -> int:
         seed=seed,
         gc_enabled=not args.no_gc,
         lazy_enabled=not args.eager_ehe,
-        parallel=not args.sequential,
         max_states=args.max_states,
     )
     report = simulator.run_simulation(reg, trace, options)

@@ -1,13 +1,17 @@
 """Atoms and Boolean expressions over them, with counted simplification.
 
-Expressions are immutable and hash-consed: structurally equal expressions
-are the same object, so equality checks and set membership are O(1) no
-matter how large the tree is.  Connectives are binary; chain-level rules
-(idempotence, absorption, complement) flatten transparently.
+Expressions are immutable and hash-consed: structurally equal live
+expressions are the same object, so equality checks and set membership are
+O(1) no matter how large the tree is.  The intern table is weak: it holds
+only expressions that something else still references, so it stays the
+size of the live working set instead of growing with every expression ever
+built.  Connectives are binary; chain-level rules (idempotence, absorption,
+complement) flatten transparently.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -34,7 +38,7 @@ class SimplifyStats:
 
 
 class BoolExpr:
-    __slots__ = ("size",)
+    __slots__ = ("size", "__weakref__")
 
 
 class BConst(BoolExpr):
@@ -78,15 +82,10 @@ def _wrap(e: BoolExpr) -> str:
     return str(e)
 
 
-_interned: dict[tuple, BoolExpr] = {}
-
-
-def _intern(key: tuple, build) -> BoolExpr:
-    node = _interned.get(key)
-    if node is None:
-        node = build()
-        _interned[key] = node
-    return node
+# Keys hold child ids, not children.  A live node keeps its children alive,
+# so the ids in its key stay valid; a dead node's entry goes before its
+# address can be reused.  There is no lock: build expressions on one thread.
+_interned: weakref.WeakValueDictionary[tuple, BoolExpr] = weakref.WeakValueDictionary()
 
 
 def _make_const(value: bool) -> BConst:
@@ -105,45 +104,45 @@ def bconst(value: bool) -> BConst:
 
 
 def batom(atom: Atom) -> BAtom:
-    def build():
-        node = BAtom()
+    key = ("a", atom)
+    node = _interned.get(key)
+    if node is None:
+        node = _interned[key] = BAtom()
         node.atom = atom
         node.size = 1
-        return node
-
-    return _intern(("a", atom), build)
+    return node
 
 
 def bnot(operand: BoolExpr) -> BNot:
-    def build():
-        node = BNot()
+    key = ("n", id(operand))
+    node = _interned.get(key)
+    if node is None:
+        node = _interned[key] = BNot()
         node.operand = operand
         node.size = operand.size + 1
-        return node
-
-    return _intern(("n", id(operand)), build)
+    return node
 
 
 def band(left: BoolExpr, right: BoolExpr) -> BAnd:
-    def build():
-        node = BAnd()
+    key = ("&", id(left), id(right))
+    node = _interned.get(key)
+    if node is None:
+        node = _interned[key] = BAnd()
         node.left = left
         node.right = right
         node.size = left.size + right.size + 1
-        return node
-
-    return _intern(("&", id(left), id(right)), build)
+    return node
 
 
 def bor(left: BoolExpr, right: BoolExpr) -> BOr:
-    def build():
-        node = BOr()
+    key = ("|", id(left), id(right))
+    node = _interned.get(key)
+    if node is None:
+        node = _interned[key] = BOr()
         node.left = left
         node.right = right
         node.size = left.size + right.size + 1
-        return node
-
-    return _intern(("|", id(left), id(right)), build)
+    return node
 
 
 def conj(terms: Iterable[BoolExpr]) -> BoolExpr:

@@ -10,7 +10,7 @@ respawns at the next round.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # unused; benchmarks/test_checks.py deletes it
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -182,7 +182,6 @@ class SimulationOptions:
     seed: int = 0
     gc_enabled: bool = True
     lazy_enabled: bool = True
-    parallel: bool = False
     max_states: Optional[int] = None
 
 
@@ -229,16 +228,9 @@ def run_simulation(
                 node.memory.store(Atom(r, ap), event[ap])
 
         # 3. expand and resolve; conclude/respawn until quiescent
-        if options.parallel:
-            with ThreadPoolExecutor() as pool:
-                results = list(
-                    pool.map(lambda l: _step_node(nodes[l], r), order)
-                )
-            sent = [msg for batch in results for msg in batch]
-        else:
-            sent = []
-            for label in order:
-                sent.extend(_step_node(nodes[label], r))
+        sent = []
+        for label in order:
+            sent.extend(_step_node(nodes[label], r))
 
         # 4. queue outgoing messages for later rounds
         for msg in sent:

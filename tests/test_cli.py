@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -107,6 +108,20 @@ def test_synth_capacity_exit_code(capsys):
     assert "capacity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-states", "0"), ("--max-states", "-3"), ("--timeout", "0"), ("--timeout", "-1")],
+)
+def test_non_positive_limits_are_usage_errors(workspace, capsys, flag, value):
+    code = main(["synth", "--rooms", "2", "--centralized", "sc_ok", flag, value])
+    assert code == 1
+    assert "must be positive" in capsys.readouterr().err
+    if flag == "--max-states":
+        code, out = _replay(workspace, "limits", flag, value)
+        assert code == 1
+        assert not out.exists()
+
+
 def test_synth_parse_error_exit_code(capsys):
     assert main(["synth", "G(s -> "]) == 1
 
@@ -159,6 +174,23 @@ def test_replay_label_subset(workspace):
     assert rows and all(",light," in row for row in rows)
 
 
+@pytest.mark.parametrize("labels", ["", "light,"])
+def test_replay_empty_label_is_validation_error(workspace, labels):
+    code, out = _replay(workspace, "empty_label", "--labels", labels)
+    assert code == 2
+    assert not out.exists()
+
+
+def test_replay_starts_no_thread(workspace, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"replay started thread {self.name!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, out = _replay(workspace, "one_thread")
+    assert code == 0
+    assert (out / "verdicts.csv").exists()
+
+
 def test_replay_delivery_flags(workspace):
     code, _ = _replay(workspace, "delayed", "--delivery", "delay:2")
     assert code == 0
@@ -166,12 +198,6 @@ def test_replay_delivery_flags(workspace):
     assert code == 0
     code, _ = _replay(workspace, "bad", "--delivery", "teleport")
     assert code == 1
-
-
-def test_replay_sequential_matches_parallel(workspace):
-    _, par = _replay(workspace, "par")
-    _, seq = _replay(workspace, "seq", "--sequential")
-    assert (par / "verdicts.csv").read_bytes() == (seq / "verdicts.csv").read_bytes()
 
 
 def test_replay_missing_spec_exit_code(workspace):
