@@ -68,7 +68,6 @@ def build_parser() -> _Parser:
     replay.add_argument("--eager-ehe", action="store_true")
     replay.add_argument("--delivery", default="immediate",
                         help="immediate | delay:N | reorder:N:SEED")
-    replay.add_argument("--seed", type=int, default=0)
     replay.add_argument("--max-states", type=_positive(int), default=None)
     replay.set_defaults(func=cmd_replay)
 
@@ -143,12 +142,13 @@ def _synth_one(name: str, formula: ltl.Formula, args) -> None:
             f.write(monitor.to_transition_list() + "\n")
 
 
-def _parse_delivery(text: str, seed: int) -> tuple[simulator.DeliveryPolicy, int]:
+def _parse_delivery(text: str) -> tuple[simulator.DeliveryPolicy, int]:
+    """Policy and seed; only reorder draws random numbers, from its SEED."""
     parts = text.split(":")
     if parts[0] == "immediate" and len(parts) == 1:
-        return simulator.DeliveryPolicy("immediate"), seed
+        return simulator.DeliveryPolicy("immediate"), 0
     if parts[0] == "delay" and len(parts) == 2:
-        return simulator.DeliveryPolicy("delay", int(parts[1])), seed
+        return simulator.DeliveryPolicy("delay", int(parts[1])), 0
     if parts[0] == "reorder" and len(parts) == 3:
         return simulator.DeliveryPolicy("reorder", int(parts[1])), int(parts[2])
     raise ValueError(f"bad --delivery value {text!r}")
@@ -161,7 +161,7 @@ def cmd_replay(args) -> int:
     peripheries = traceio.load_manifest(args.manifest)
     config = traceio.PollConfig(args.start, args.end, args.interval)
     trace = traceio.poll_trace(peripheries, config)
-    delivery, seed = _parse_delivery(args.delivery, args.seed)
+    delivery, seed = _parse_delivery(args.delivery)
     options = simulator.SimulationOptions(
         delivery=delivery,
         seed=seed,

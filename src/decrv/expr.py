@@ -38,7 +38,10 @@ class SimplifyStats:
 
 
 class BoolExpr:
-    __slots__ = ("size", "__weakref__")
+    # _simp memoises one simplify pass over the node: (result, rewrite
+    # count), with result None when the pass returns the node itself, so
+    # that no node references itself
+    __slots__ = ("size", "_simp", "__weakref__")
 
 
 class BConst(BoolExpr):
@@ -82,6 +85,9 @@ def _wrap(e: BoolExpr) -> str:
     return str(e)
 
 
+# the pass memo of a node that every pass leaves as it is
+_FIXED = (None, 0)
+
 # Keys hold child ids, not children.  A live node keeps its children alive,
 # so the ids in its key stay valid; a dead node's entry goes before its
 # address can be reused.  There is no lock: build expressions on one thread.
@@ -92,6 +98,7 @@ def _make_const(value: bool) -> BConst:
     node = BConst()
     node.value = value
     node.size = 1
+    node._simp = _FIXED
     return node
 
 
@@ -110,6 +117,7 @@ def batom(atom: Atom) -> BAtom:
         node = _interned[key] = BAtom()
         node.atom = atom
         node.size = 1
+        node._simp = _FIXED
     return node
 
 
@@ -120,6 +128,7 @@ def bnot(operand: BoolExpr) -> BNot:
         node = _interned[key] = BNot()
         node.operand = operand
         node.size = operand.size + 1
+        node._simp = None
     return node
 
 
@@ -131,6 +140,7 @@ def band(left: BoolExpr, right: BoolExpr) -> BAnd:
         node.left = left
         node.right = right
         node.size = left.size + right.size + 1
+        node._simp = None
     return node
 
 
@@ -142,6 +152,7 @@ def bor(left: BoolExpr, right: BoolExpr) -> BOr:
         node.left = left
         node.right = right
         node.size = left.size + right.size + 1
+        node._simp = None
     return node
 
 
@@ -223,47 +234,57 @@ def evaluate(e: BoolExpr, assignment: dict[Atom, bool]) -> bool:
 def simplify(e: BoolExpr, stats: Optional[SimplifyStats] = None) -> BoolExpr:
     """Rewrite to a fixed point: constant folding, double negation,
     idempotence, absorption, and complement.  Never grows the tree."""
+    count = 0
     while True:
-        e2 = _pass(e, stats)
-        if e2 is e:
-            return e2
-        e = e2
+        result, n = _pass(e)
+        count += n
+        if result is None:
+            break
+        e = result
+    if stats:
+        stats.bump(count)
+    return e
 
 
-def _pass(e: BoolExpr, stats: Optional[SimplifyStats]) -> BoolExpr:
-    if isinstance(e, (BConst, BAtom)):
-        return e
+def _pass(e: BoolExpr) -> tuple[Optional[BoolExpr], int]:
+    """One rewrite pass: (result, or None for e itself; rules applied).
+
+    A pass is a pure function of the node: it compares nodes by identity
+    only, and the complement probe finds a negation only if it is live, as
+    it is when it is an operand.  So it is worked out once per node."""
+    memo = e._simp
+    if memo is None:
+        memo = e._simp = _pass_once(e)
+    return memo
+
+
+def _pass_once(e: BoolExpr) -> tuple[Optional[BoolExpr], int]:
     if isinstance(e, BNot):
-        a = _pass(e.operand, stats)
+        result, count = _pass(e.operand)
+        a = e.operand if result is None else result
         if isinstance(a, BConst):
-            if stats:
-                stats.bump()
-            return bconst(not a.value)
+            return bconst(not a.value), count + 1
         if isinstance(a, BNot):
-            if stats:
-                stats.bump()
-            return a.operand
-        return e if a is e.operand else bnot(a)
+            return a.operand, count + 1
+        return (None if result is None else bnot(a)), count
 
     is_and = isinstance(e, BAnd)
     cls = BAnd if is_and else BOr
     identity, annihilator = (BTRUE, BFALSE) if is_and else (BFALSE, BTRUE)
-    operands = [_pass(t, stats) for t in flatten(e, cls)]
+    count = 0
+    operands = []
+    for t in flatten(e, cls):
+        result, n = _pass(t)
+        count += n
+        operands.append(t if result is None else result)
 
     kept: list[BoolExpr] = []
     present: set[BoolExpr] = set()
     for t in operands:
         if t is annihilator:
-            if stats:
-                stats.bump()
-            return annihilator
-        if t is identity:
-            if stats:
-                stats.bump()
-            continue
-        if t in present:  # idempotence
-            if stats:
-                stats.bump()
+            return annihilator, count + 1
+        if t is identity or t in present:  # identity, idempotence
+            count += 1
             continue
         present.add(t)
         kept.append(t)
@@ -272,9 +293,7 @@ def _pass(e: BoolExpr, stats: Optional[SimplifyStats]) -> BoolExpr:
         # a negation never interned cannot be among the operands
         comp = t.operand if isinstance(t, BNot) else _interned.get(("n", id(t)))
         if comp in present:
-            if stats:
-                stats.bump()
-            return annihilator
+            return annihilator, count + 1
 
     # absorption: in a disjunction, drop a conjunction containing another
     # operand (and dually)
@@ -284,28 +303,31 @@ def _pass(e: BoolExpr, stats: Optional[SimplifyStats]) -> BoolExpr:
         if isinstance(t, inner_cls) and any(
             u in present and u is not t for u in flatten(t, inner_cls)
         ):
-            if stats:
-                stats.bump()
+            count += 1
             present.discard(t)
             continue
         absorbed.append(t)
 
     if not absorbed:
-        return identity
+        return identity, count
     if len(absorbed) == 1:
-        return absorbed[0]
+        return absorbed[0], count
     rebuilt = conj(absorbed) if is_and else disj(absorbed)
-    return e if rebuilt is e else rebuilt
+    return (None if rebuilt is e else rebuilt), count
 
 
-def substitute_atoms(e: BoolExpr, lookup) -> BoolExpr:
-    """Replace atoms for which ``lookup(atom)`` returns a bool; leave others."""
-    memo: dict[int, BoolExpr] = {}
+def substitute_atoms(e: BoolExpr, lookup, memo: Optional[dict] = None) -> BoolExpr:
+    """Replace atoms for which ``lookup(atom)`` returns a bool; leave others.
+
+    ``memo`` (``id(node) -> (node, result)``) may be shared by calls with
+    the same lookup; it holds each key node so that its id is not reused."""
+    if memo is None:
+        memo = {}
 
     def go(node: BoolExpr) -> BoolExpr:
         cached = memo.get(id(node))
         if cached is not None:
-            return cached
+            return cached[1]
         if isinstance(node, BConst):
             out = node
         elif isinstance(node, BAtom):
@@ -320,7 +342,7 @@ def substitute_atoms(e: BoolExpr, lookup) -> BoolExpr:
         else:
             l, r = go(node.left), go(node.right)
             out = node if (l is node.left and r is node.right) else bor(l, r)
-        memo[id(node)] = out
+        memo[id(node)] = (node, out)
         return out
 
     return go(e)

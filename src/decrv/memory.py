@@ -22,11 +22,13 @@ class Memory:
     evaluation results against a memory snapshot.
     """
 
-    __slots__ = ("_data", "_by_time", "version")
+    __slots__ = ("_data", "_by_time", "_masks", "version")
 
     def __init__(self) -> None:
         self._data: dict[Atom, bool] = {}
         self._by_time: dict[int, set[Atom]] = {}
+        # round -> (alphabet, (known, values)), dropped when the round changes
+        self._masks: dict[int, tuple[tuple[str, ...], tuple[int, int]]] = {}
         self.version = 0
 
     def __len__(self) -> int:
@@ -49,7 +51,25 @@ class Memory:
             return
         self._data[atom] = value
         self._by_time.setdefault(atom.time, set()).add(atom)
+        self._masks.pop(atom.time, None)
         self.version += 1
+
+    def masks(self, alphabet: tuple[str, ...], t: int) -> tuple[int, int]:
+        """(known, values): bit i of ``known`` is set when ``alphabet[i]`` is
+        stored for round t, and of ``values`` when it is stored true."""
+        cached = self._masks.get(t)
+        if cached is not None and cached[0] is alphabet:
+            return cached[1]
+        known = values = 0
+        data = self._data
+        for i, name in enumerate(alphabet):
+            value = data.get(Atom(t, name))
+            if value is not None:
+                known |= 1 << i
+                if value:
+                    values |= 1 << i
+        self._masks[t] = (alphabet, (known, values))
+        return known, values
 
     def at_time(self, t: int) -> frozenset[Atom]:
         return frozenset(self._by_time.get(t, ()))
@@ -63,6 +83,8 @@ class Memory:
         for ts in stale:
             for atom in self._by_time.pop(ts):
                 del self._data[atom]
+        for ts in [ts for ts in self._masks if ts <= t]:
+            del self._masks[ts]
         if stale:
             self.version += 1
 

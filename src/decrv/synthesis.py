@@ -41,9 +41,10 @@ class MooreMonitor:
     """Complete deterministic Moore automaton labeled with verdicts.
 
     ``_templates`` holds the guard templates once ``guard_templates`` has
-    built them, and ``_steps`` the concrete EHE steps ``(state, event) ->
-    (successor, rewrite count)`` as ``ehe`` fills them; both live on the
-    monitor so they die with it.
+    built them, and ``_steps`` the EHE step table as ``ehe`` fills it, keyed
+    by ``(state, known, values)``: bitmasks over ``alphabet`` of the atoms
+    of one round that are in memory and of those that are true.  Both live
+    on the monitor so they die with it.
     """
 
     __slots__ = ("alphabet", "initial", "delta", "labels", "_templates", "_steps")
@@ -60,7 +61,7 @@ class MooreMonitor:
         self.delta = delta
         self.labels = labels
         self._templates: Optional[list[dict[int, expr.BoolExpr]]] = None
-        self._steps: dict[tuple[int, int], tuple[int, int]] = {}
+        self._steps: dict[tuple[int, int, int], object] = {}
 
     @property
     def n_states(self) -> int:

@@ -200,6 +200,25 @@ def test_replay_delivery_flags(workspace):
     assert code == 1
 
 
+def test_replay_reorder_seed_drives_delivery(workspace, capsys):
+    # the seed is the SEED of reorder:N:SEED; there is no separate flag
+    runs = {}
+    for name, seed in (("first", 1), ("other", 2), ("again", 1)):
+        code, out = _replay(workspace, name, "--delivery", f"reorder:2:{seed}")
+        assert code == 0
+        runs[name] = [
+            (out / f).read_bytes()
+            for f in ("verdicts.csv", "metrics.csv", "summary.txt", "timeline.tsv")
+        ]
+    assert runs["first"] == runs["again"]
+    assert runs["first"] != runs["other"]
+    capsys.readouterr()
+    code, out = _replay(workspace, "seed_flag", "--seed", "3")
+    assert code != 0
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_replay_missing_spec_exit_code(workspace):
     code = main(
         [

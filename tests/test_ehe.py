@@ -258,10 +258,11 @@ def test_step_with_missing_atom_stays_symbolic():
         for name in monitor.alphabet:
             if name != dropped:
                 memory.store(Atom(t - 1, name), rng.random() < 0.5)
-        before = dict(monitor._steps)
-        prev = {rng.randrange(monitor.n_states): expr.BTRUE}
-        _step_matches_symbolic(monitor, prev, t, memory)
-        assert monitor._steps == before
+        p = rng.randrange(monitor.n_states)
+        _step_matches_symbolic(monitor, {p: expr.BTRUE}, t, memory)
+        # a partly observed round has its own key in the one step table
+        step = monitor._steps[(p, *memory.masks(monitor.alphabet, t - 1))]
+        assert step.row is not None
 
 
 def test_multi_entry_row_stays_symbolic():
@@ -276,6 +277,109 @@ def test_multi_entry_row_stays_symbolic():
         unknown = expr.batom(Atom(t - 2, "z"))
         prev = {p1: expr.BTRUE, p2: rng.choice([unknown, expr.bnot(unknown)])}
         _step_matches_symbolic(monitor, prev, t, _full_memory(rng, monitor, t - 1))
+
+
+def _random_entry(rng, names, t):
+    """A small expression over round-t atoms."""
+    a, b = (expr.batom(Atom(t, rng.choice(names))) for _ in range(2))
+    return rng.choice(
+        [a, expr.bnot(a), expr.band(a, expr.bnot(b)), expr.bor(expr.bnot(a), b)]
+    )
+
+
+def test_partial_step_table_matches_symbolic():
+    rng = random.Random(29)
+    monitors = [fig2a()]
+    while len(monitors) < 25:
+        m = synthesis.build(random_formula(rng, ["a", "b", "c"], rng.randint(1, 3)))
+        if m.n_states > 1:
+            monitors.append(m)
+    for monitor in monitors:
+        monitor._steps.clear()
+        names = list(monitor.alphabet) + ["z"]
+        cases = []
+        for _ in range(40):
+            t = rng.randint(2, 6)
+            memory = Memory()
+            for name in monitor.alphabet:  # a random part of round t-1
+                if rng.random() < 0.5:
+                    memory.store(Atom(t - 1, name), rng.random() < 0.5)
+            if rng.random() < 0.5:
+                prev = {rng.randrange(monitor.n_states): expr.BTRUE}
+            else:
+                # entries over round t-2, some of whose atoms are now stored
+                states = rng.sample(range(monitor.n_states), rng.randint(2, monitor.n_states))
+                prev = {p: _random_entry(rng, names, t - 2) for p in states}
+                for name in names:
+                    if rng.random() < 0.4:
+                        memory.store(Atom(t - 2, name), rng.random() < 0.5)
+            cases.append((prev, t, memory))
+        for prev, t, memory in cases:  # cold table
+            _step_matches_symbolic(monitor, prev, t, memory)
+        filled = dict(monitor._steps)
+        assert any(known for _, known, _ in filled)
+        for prev, t, memory in cases:  # warm table
+            _step_matches_symbolic(monitor, prev, t, memory)
+        assert monitor._steps == filled
+
+
+def _smove_resolve_trace(rng, monitor):
+    """Random interleaving of smove (with and without memory), late stores,
+    gc and resolve, as (operation, arguments) steps."""
+    ops = []
+    late = []
+    t_last = 0
+    for t in range(12):
+        for name in monitor.alphabet:
+            if rng.random() < 0.6:
+                ops.append(("store", (Atom(t, name), rng.random() < 0.5)))
+            else:
+                late.append((Atom(t, name), rng.random() < 0.5))
+        for _ in range(rng.randint(0, 3)):
+            if late:
+                ops.append(("store", late.pop(rng.randrange(len(late)))))
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            # rows may lag behind the stored rounds or run ahead of them
+            t_last = max(t_last, min(t + 2, t_last + rng.randint(0, 2)))
+            ops.append(("smove", (t_last, rng.random() < 0.75)))
+        if rng.random() < 0.15 and t > 2:
+            ops.append(("gc", (t - 3,)))
+        ops.append(("resolve", ()))
+    return ops
+
+
+def _forget_narrowing(enc):
+    """Make smove narrow its first predecessor and resolve walk every row."""
+    enc._clean_version = None
+    enc._built_version = None
+
+
+def test_resolve_skipping_narrowed_rows_matches_full_walk():
+    rng = random.Random(31)
+    for _ in range(40):
+        monitor = synthesis.build(random_formula(rng, ["a", "b", "c"], rng.randint(1, 4)))
+        fast, full = EHE(monitor, 0), EHE(monitor, 0)
+        memory = Memory()
+        stats_fast, stats_full = expr.SimplifyStats(), expr.SimplifyStats()
+        for op, args in _smove_resolve_trace(rng, monitor):
+            if op == "store":
+                memory.store(*args)
+            elif op == "gc":
+                memory.gc(*args)
+            elif op == "smove":
+                t, narrowed = args
+                fast.smove(t, stats_fast, memory if narrowed else None)
+                _forget_narrowing(full)
+                full.smove(t, stats_full, memory if narrowed else None)
+            else:
+                got = fast.resolve(memory, stats_fast)
+                _forget_narrowing(full)
+                want = full.resolve(memory, stats_full)
+                assert got == want
+                assert fast.entries == full.entries
+                assert fast.n_entries == full.n_entries
+                assert fast.total_size == full.total_size
+                assert stats_fast.simplifications == stats_full.simplifications
 
 
 def _assert_fixed_points(enc):

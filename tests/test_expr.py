@@ -75,6 +75,16 @@ def test_simplify_counts_rule_applications():
     assert stats.simplifications == 0
 
 
+def test_simplify_counts_shared_subtree_each_time():
+    # !!a is rewritten once per occurrence, memoised or not
+    nna = expr.bnot(expr.bnot(A))
+    e = expr.band(nna, expr.bor(nna, B))
+    for _ in range(2):
+        stats = SimplifyStats()
+        assert expr.simplify(e, stats) is A
+        assert stats.simplifications == 3
+
+
 def _memory(pairs):
     m = Memory()
     for atom, value in pairs:
@@ -162,3 +172,32 @@ def test_seval_composes_over_disjoint_memories(e):
         [(Atom(1, "a"), True), (Atom(2, "d"), False), (Atom(1, "b"), False), (Atom(3, "e"), True)]
     )
     assert expr.seval(e, both) is expr.seval(expr.seval(e, m1), m2)
+
+
+def _forget_passes(e):
+    """Clear the pass memo of every node a simplify of e can visit."""
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(getattr(node, f) for f in ("operand", "left", "right") if hasattr(node, f))
+        if node._simp is not None and node._simp[0] is not None:
+            stack.append(node._simp[0])
+        if not isinstance(node, (expr.BConst, expr.BAtom)):
+            node._simp = None
+        # a memo never holds its own node
+        assert node._simp is None or node._simp[0] is not node
+
+
+@given(exprs())
+def test_simplify_memo_charges_cold_count(e):
+    expr.simplify(e)
+    _forget_passes(e)
+    cold = SimplifyStats()
+    result = expr.simplify(e, cold)
+    for _ in range(2):
+        warm = SimplifyStats()
+        assert expr.simplify(e, warm) is result
+        assert warm.simplifications == cold.simplifications

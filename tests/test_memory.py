@@ -93,3 +93,34 @@ def test_dump_format():
     m.store(Atom(5, "b"), False)
     m.store(Atom(3, "a"), True)
     assert m.dump() == "3,a,TRUE\n5,b,FALSE"
+
+
+def test_masks_over_alphabet():
+    m = Memory()
+    alphabet = ("a", "b", "c")
+    m.store(Atom(3, "a"), True)
+    m.store(Atom(3, "c"), False)
+    m.store(Atom(4, "b"), True)
+    assert m.masks(alphabet, 3) == (0b101, 0b001)
+    assert m.masks(alphabet, 4) == (0b010, 0b010)
+    assert m.masks(alphabet, 5) == (0, 0)
+    assert m.masks(("c", "a"), 3) == (0b11, 0b10)
+
+
+def test_masks_follow_store_and_gc():
+    m = Memory()
+    alphabet = ("a", "b")
+    assert m.masks(alphabet, 3) == (0, 0)
+    m.store(Atom(3, "b"), True)
+    assert m.masks(alphabet, 3) == (0b10, 0b10)
+    m.store(Atom(4, "a"), True)  # another round leaves round 3 as it was
+    assert m.masks(alphabet, 3) == (0b10, 0b10)
+    m.store(Atom(3, "a"), False)
+    assert m.masks(alphabet, 3) == (0b11, 0b10)
+    m.store(Atom(3, "a"), False)  # a repeated store changes nothing
+    assert m.masks(alphabet, 3) == (0b11, 0b10)
+    m.gc(3)
+    assert m.masks(alphabet, 3) == (0, 0)
+    assert m.masks(alphabet, 4) == (0b01, 0b01)
+    m.store(Atom(3, "b"), False)  # a round stored again after gc
+    assert m.masks(alphabet, 3) == (0b10, 0)
