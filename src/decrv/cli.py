@@ -48,9 +48,10 @@ def build_parser() -> _Parser:
 
     synth = sub.add_parser("synth", help="synthesize monitors", parents=[])
     synth.add_argument("target", nargs="?", help="formula, spec file, or bundled spec name")
-    synth.add_argument("--label", help="synthesize only this monitor")
-    synth.add_argument("--centralized", metavar="LABEL", help="inline references first")
-    synth.add_argument("--rooms", type=int, help="generate the n-room light-switch spec")
+    one = synth.add_mutually_exclusive_group()
+    one.add_argument("--label", help="synthesize only this monitor")
+    one.add_argument("--centralized", metavar="LABEL", help="inline references first")
+    synth.add_argument("--rooms", type=_positive(int), help="generate the n-room light-switch spec")
     synth.add_argument("--max-states", type=_positive(int), default=None)
     synth.add_argument("--timeout", type=_positive(float), default=None, help="seconds")
     synth.add_argument("--out", help="directory for .dot and transition-list files")
@@ -105,6 +106,9 @@ def cmd_synth(args) -> int:
             reg = registry.bundled(args.target)
         except FileNotFoundError:
             reg = None
+    if reg is None and (args.label is not None or args.centralized is not None):
+        print("decrv synth: --label and --centralized need a spec, not a formula", file=sys.stderr)
+        return EXIT_USAGE
     if args.out:
         os.makedirs(args.out, exist_ok=True)
 

@@ -151,34 +151,44 @@ def _step(
 
 
 class EHE:
-    """Entries (round, state) -> BoolExpr for one monitor instance."""
+    """Entries (round, state) -> BoolExpr for one monitor instance, narrowed
+    against its own memory.  One watermark: rows from ``_narrowed_from`` on
+    are narrowed at memory version ``_version``, and rows up to
+    ``_scanned_upto`` have been checked for ``true``."""
 
     __slots__ = (
         "monitor",
+        "memory",
+        "stats",
         "entries",
         "t_origin",
         "t_last",
-        "_clean_version",
-        "_clean_upto",
-        "_built_version",
-        "_built_from",
+        "_version",
+        "_narrowed_from",
+        "_scanned_upto",
         "_found",
         "_n_entries",
         "_total_size",
     )
 
-    def __init__(self, monitor: synthesis.MooreMonitor, t_origin: int = 0):
+    def __init__(
+        self,
+        monitor: synthesis.MooreMonitor,
+        t_origin: int,
+        memory: Memory,
+        stats: Optional[SimplifyStats] = None,
+    ):
         self.monitor = monitor
+        self.memory = memory
+        self.stats = SimplifyStats() if stats is None else stats
         self.t_origin = t_origin
         self.t_last = t_origin
         self.entries: dict[int, dict[int, BoolExpr]] = {
             t_origin: {monitor.initial: expr.BTRUE}
         }
-        self._clean_version: Optional[int] = None
-        self._clean_upto = t_origin - 1
-        # rows from _built_from on were narrowed against _built_version
-        self._built_version: Optional[int] = None
-        self._built_from = t_origin + 1
+        self._version: Optional[int] = None
+        self._narrowed_from = t_origin + 1
+        self._scanned_upto = t_origin - 1
         self._found: Optional[tuple[int, int, Verdict]] = None
         self._n_entries = 1
         self._total_size = expr.BTRUE.size
@@ -196,16 +206,17 @@ class EHE:
     def total_size(self) -> int:
         return self._total_size
 
-    def smove(
-        self,
-        t_future: int,
-        stats: Optional[SimplifyStats] = None,
-        memory: Optional[Memory] = None,
-    ) -> None:
+    def _sync(self) -> None:
+        """A store or gc since the last look leaves no row narrowed."""
+        if self._version != self.memory.version:
+            self._version = self.memory.version
+            self._narrowed_from = self.t_last + 1
+
+    def smove(self, t_future: int) -> None:
         """Expand entries up to t_future; guard atoms for step t-1 -> t are
         stamped t-1.  States whose expression folds to false are dropped.
-        When a memory is given each new row is narrowed against it right
-        away, which keeps expressions small across multi-round expansions.
+        Each new row is narrowed against the memory as it is built, which
+        keeps expressions small and leaves the watermark where it is.
 
         Guards come from the monitor's step table under the memory's masks
         of round t-1, and a row whose predecessor is ``{p: true}`` is read
@@ -213,24 +224,19 @@ class EHE:
         those of building every row symbolically."""
         if t_future <= self.t_last:
             return
-        monitor = self.monitor
+        self._sync()
+        monitor, memory, stats = self.monitor, self.memory, self.stats
         templates = synthesis.guard_templates(monitor)
         alphabet = monitor.alphabet
         first = self.t_last + 1
-        # new rows are built against the memory; the row before them needs
-        # narrowing unless resolve or smove narrowed it at this version
-        stale = memory is not None and memory.version not in (
-            self._clean_version,
-            self._built_version,
-        )
+        stale = first - 1 < self._narrowed_from  # the row grown from is not narrowed
         for t in range(first, t_future + 1):
             prev = self.entries[t - 1]
-            known, values = (0, 0) if memory is None else memory.masks(alphabet, t - 1)
+            known, values = memory.masks(alphabet, t - 1)
             if len(prev) == 1 and expr.BTRUE in prev.values():
                 [p] = prev
                 step = _step(monitor, templates, (p, known, values), True)
-                if stats is not None:
-                    stats.bump(step.rewrites)
+                stats.bump(step.rewrites)
                 self.entries[t] = {
                     q: e if const else expr.stamp(e, t - 1) for q, e, const in step.row
                 }
@@ -254,39 +260,27 @@ class EHE:
                     self._n_entries += 1
                     self._total_size += combined.size
             self.entries[t] = row
-        if memory is None:
-            # rows were built unnarrowed; force a full pass in resolve
-            self._clean_version = None
-            self._built_version = None
-        elif self._built_version != memory.version:
-            self._built_version = memory.version
-            self._built_from = first
         self.t_last = t_future
 
-    def resolve(
-        self, memory: Memory, stats: Optional[SimplifyStats] = None
-    ) -> Optional[tuple[int, int, Verdict]]:
-        """Narrow every entry against the memory; report the greatest round
-        whose state became certain.  Results are cached against the memory
-        version so quiescent rounds cost nothing, rows that smove narrowed
-        against this very version are only scanned, and rows older than
-        the latest certain round are dropped — the state there is settled."""
-        if self._clean_version == memory.version:
-            if self._clean_upto >= self.t_last:
-                return self._found
-            times = range(self._clean_upto + 1, self.t_last + 1)
-        else:
+    def resolve(self) -> Optional[tuple[int, int, Verdict]]:
+        """Narrow the rows below the watermark against the memory and
+        report the greatest round whose state became certain.  Rows at or
+        above it are only scanned for ``true``, and only once, so a
+        quiescent round costs nothing.  Rows older than the latest certain
+        round are dropped — the state there is settled."""
+        self._sync()
+        narrowed_from = self._narrowed_from
+        if narrowed_from > self.t_origin:
             times = sorted(self.entries)
-        if self._built_version == memory.version:
-            narrowed_from = self._built_from
+        elif self._scanned_upto < self.t_last:
+            times = range(self._scanned_upto + 1, self.t_last + 1)
         else:
-            narrowed_from = self.t_last + 1
+            return self._found
+        memory, stats = self.memory, self.stats
         memo: dict = {}
         best = self._found
         for t in times:
-            row = self.entries.get(t)
-            if row is None:
-                continue
+            row = self.entries[t]
             for q in sorted(row):
                 e = row[q]
                 if t < narrowed_from and not isinstance(e, expr.BConst):
@@ -306,8 +300,8 @@ class EHE:
                     e = narrowed
                 if e is expr.BTRUE and (best is None or t >= best[0]):
                     best = (t, q, self.monitor.verdict(q))
-        self._clean_version = memory.version
-        self._clean_upto = self.t_last
+        self._narrowed_from = self.t_origin
+        self._scanned_upto = self.t_last
         self._found = best
         if best is not None:
             for t in [t for t in self.entries if t < best[0]]:

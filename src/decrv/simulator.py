@@ -173,7 +173,7 @@ class _Node:
 
     def __post_init__(self) -> None:
         if self.ehe is None:
-            self.ehe = EHE(self.monitor, 0)
+            self.ehe = EHE(self.monitor, 0, self.memory, self.stats)
 
 
 @dataclass(frozen=True)
@@ -307,8 +307,8 @@ def _step_node(node: _Node, r: int) -> list[Message]:
     while True:
         target = _expansion_target(node, r)
         if target is not None and target > node.ehe.t_last:
-            node.ehe.smove(target, node.stats, node.memory)
-        found = node.ehe.resolve(node.memory, node.stats)
+            node.ehe.smove(target)
+        found = node.ehe.resolve()
         if found is None:
             break
         _, _, verdict = found
@@ -321,7 +321,7 @@ def _step_node(node: _Node, r: int) -> list[Message]:
         if node.gc_enabled:
             node.memory.gc(t)
         node.t_check = t + 1
-        node.ehe = EHE(node.monitor, node.t_check)
+        node.ehe = EHE(node.monitor, node.t_check, node.memory, node.stats)
     node.delivered_now.clear()
     return out
 

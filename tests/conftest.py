@@ -5,9 +5,15 @@ from __future__ import annotations
 import itertools
 import random
 
-from decrv import ltl, registry
+from decrv import expr, ltl, registry
 from decrv.ehe import EAGER, WILDCARD, TriggerLit, TriggerOr
 from decrv.simulator import DeliveryPolicy, SimulationOptions
+
+
+def seval(e, memory, stats=None):
+    """Reference recipe for narrowing: substitute every atom the memory
+    knows, then simplify."""
+    return expr.simplify(expr.substitute_atoms(e, memory.get), stats)
 
 
 def all_events(props: list[str]) -> list[dict[str, bool]]:

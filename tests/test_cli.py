@@ -110,7 +110,14 @@ def test_synth_capacity_exit_code(capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--max-states", "0"), ("--max-states", "-3"), ("--timeout", "0"), ("--timeout", "-1")],
+    [
+        ("--max-states", "0"),
+        ("--max-states", "-3"),
+        ("--timeout", "0"),
+        ("--timeout", "-1"),
+        ("--rooms", "0"),
+        ("--rooms", "-2"),
+    ],
 )
 def test_non_positive_limits_are_usage_errors(workspace, capsys, flag, value):
     code = main(["synth", "--rooms", "2", "--centralized", "sc_ok", flag, value])
@@ -120,6 +127,19 @@ def test_non_positive_limits_are_usage_errors(workspace, capsys, flag, value):
         code, out = _replay(workspace, "limits", flag, value)
         assert code == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--label", "--centralized"])
+def test_synth_formula_rejects_monitor_flags(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    assert main(["synth", "G(s -> X(light U !s))", flag, "light", "--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_label_and_centralized_are_exclusive(capsys):
+    assert main(["synth", "--rooms", "2", "--label", "nosuch", "--centralized", "sc_ok"]) == 1
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_synth_parse_error_exit_code(capsys):

@@ -9,7 +9,7 @@ from decrv.expr import Atom
 from decrv.memory import Memory
 from decrv.verdicts import Verdict
 
-from conftest import all_events, random_formula, random_trace
+from conftest import all_events, random_formula, random_trace, seval
 
 
 def fig2a():
@@ -17,13 +17,13 @@ def fig2a():
 
 
 def test_initial_entry():
-    e = EHE(fig2a(), 0)
+    e = EHE(fig2a(), 0, Memory())
     assert e.expr_at(0, e.monitor.initial) is expr.BTRUE
     assert e.t_last == 0
 
 
 def test_smove_one_step_matches_hand_expansion():
-    e = EHE(fig2a(), 0)
+    e = EHE(fig2a(), 0, Memory())
     e.smove(1)
     s = expr.batom(Atom(0, "s"))
     assert e.expr_at(1, 0) is expr.bnot(s)
@@ -33,7 +33,7 @@ def test_smove_one_step_matches_hand_expansion():
 
 
 def test_smove_same_round_is_noop():
-    e = EHE(fig2a(), 0)
+    e = EHE(fig2a(), 0, Memory())
     e.smove(2)
     before = e.dump()
     e.smove(2)
@@ -57,33 +57,53 @@ def test_entries_exhaustive_and_mutually_exclusive():
     rng = random.Random(3)
     for _ in range(15):
         f = random_formula(rng, ["a", "b"], rng.randint(1, 3))
-        e = EHE(synthesis.build(f), 0)
+        e = EHE(synthesis.build(f), 0, Memory())
         e.smove(rng.randint(1, 4))
         _check_exhaustive_and_exclusive(e)
 
 
 def test_resolve_fig2a_after_switch():
-    e = EHE(fig2a(), 0)
-    e.smove(1)
     m = Memory()
+    e = EHE(fig2a(), 0, m)
+    e.smove(1)
     m.store(Atom(0, "s"), True)
-    assert e.resolve(m) == (1, 1, Verdict.UNKNOWN)
+    assert e.resolve() == (1, 1, Verdict.UNKNOWN)
+
+
+def test_encodings_on_memories_of_equal_version_do_not_alias():
+    # each encoding narrows against its own memory: equal versions of two
+    # memories say nothing about equal contents
+    monitor = fig2a()
+    m1, m2 = Memory(), Memory()
+    e1, e2 = EHE(monitor, 0, m1), EHE(monitor, 0, m2)
+    e1.smove(1)
+    e2.smove(1)
+    m1.store(Atom(0, "s"), True)
+    m2.store(Atom(0, "s"), False)
+    assert m1.version == m2.version == 1
+    assert e1.resolve() == (1, 1, Verdict.UNKNOWN)
+    assert e2.resolve() == (1, 0, Verdict.UNKNOWN)
+    for m, e in ((m1, e1), (m2, e2)):
+        fresh = EHE(monitor, 0, m)
+        fresh.smove(1)
+        assert fresh.resolve() == e.resolve()
+        assert fresh.entries == e.entries
 
 
 def test_resolve_nothing_on_empty_memory():
-    e = EHE(fig2a(), 0)
+    e = EHE(fig2a(), 0, Memory())
     e.smove(3)
-    found = e.resolve(Memory())
+    found = e.resolve()
     # only the origin entry is constant-true, nothing beyond
     assert found == (0, 0, Verdict.UNKNOWN)
 
 
 def test_resolve_narrows_entries():
-    e = EHE(fig2a(), 0)
-    e.smove(1)
     m = Memory()
+    e = EHE(fig2a(), 0, m)
+    e.smove(1)
     m.store(Atom(0, "s"), True)
-    e.resolve(m)
+    e.resolve()
     assert e.expr_at(1, 1) is expr.BTRUE
     assert e.expr_at(1, 0) is None  # simplified to false and dropped
 
@@ -95,13 +115,13 @@ def test_resolve_matches_run_under_full_memory():
         monitor = synthesis.build(f)
         props = sorted(monitor.alphabet)
         trace = random_trace(rng, props, 5)
-        e = EHE(monitor, 0)
-        e.smove(len(trace))
         m = Memory()
+        e = EHE(monitor, 0, m)
+        e.smove(len(trace))
         for t, event in enumerate(trace):
             for p in props:
                 m.store(Atom(t, p), event[p])
-        found = e.resolve(m)
+        found = e.resolve()
         assert found is not None
         t, q, verdict = found
         assert t == len(trace)
@@ -115,27 +135,27 @@ def test_resolve_matches_run_under_full_memory():
 
 
 def test_resolve_monotone_under_growing_memory():
-    e = EHE(fig2a(), 0)
-    e.smove(2)
     m = Memory()
+    e = EHE(fig2a(), 0, m)
+    e.smove(2)
     m.store(Atom(0, "s"), True)
     m.store(Atom(1, "s"), True)
     m.store(Atom(1, "light"), False)
-    first = e.resolve(m)
+    first = e.resolve()
     assert first == (2, 2, Verdict.FALSE)
     m.store(Atom(0, "light"), True)
-    assert e.resolve(m) == first
+    assert e.resolve() == first
 
 
 def test_resolve_cached_when_memory_unchanged():
-    e = EHE(fig2a(), 0)
-    e.smove(1)
     m = Memory()
-    m.store(Atom(0, "s"), True)
     stats = expr.SimplifyStats()
-    e.resolve(m, stats)
+    e = EHE(fig2a(), 0, m, stats)
+    e.smove(1)
+    m.store(Atom(0, "s"), True)
+    e.resolve()
     work = stats.simplifications
-    e.resolve(m, stats)
+    e.resolve()
     assert stats.simplifications == work
 
 
@@ -169,7 +189,7 @@ def test_sadvs_collects_matching_rounds():
 
 
 def test_dump_rows():
-    e = EHE(fig2a(), 0)
+    e = EHE(fig2a(), 0, Memory())
     e.smove(1)
     rows = e.dump().splitlines()
     assert rows[0] == "0 | q0 | true"
@@ -186,18 +206,18 @@ def _symbolic_row(monitor, prev, t, memory):
             terms.setdefault(q, []).append(expr.band(e, expr.stamp(guard, t - 1)))
     row = {}
     for q in sorted(terms):
-        combined = expr.seval(expr.disj(terms[q]), memory, stats)
+        combined = seval(expr.disj(terms[q]), memory, stats)
         if combined is not expr.BFALSE:
             row[q] = combined
     return row, stats.simplifications
 
 
 def _step_matches_symbolic(monitor, prev, t, memory):
-    enc = EHE(monitor, t - 1)
+    stats = expr.SimplifyStats()
+    enc = EHE(monitor, t - 1, memory, stats)
     enc.entries[t - 1] = dict(prev)
     n0, size0 = enc.n_entries, enc.total_size
-    stats = expr.SimplifyStats()
-    enc.smove(t, stats, memory)
+    enc.smove(t)
     row, work = _symbolic_row(monitor, prev, t, memory)
     assert enc.entries[t] == row
     assert stats.simplifications == work
@@ -324,8 +344,8 @@ def test_partial_step_table_matches_symbolic():
 
 
 def _smove_resolve_trace(rng, monitor):
-    """Random interleaving of smove (with and without memory), late stores,
-    gc and resolve, as (operation, arguments) steps."""
+    """Random interleaving of smove, late stores, gc and resolve, as
+    (operation, arguments) steps."""
     ops = []
     late = []
     t_last = 0
@@ -341,7 +361,7 @@ def _smove_resolve_trace(rng, monitor):
         for _ in range(rng.choice([0, 1, 1, 2])):
             # rows may lag behind the stored rounds or run ahead of them
             t_last = max(t_last, min(t + 2, t_last + rng.randint(0, 2)))
-            ops.append(("smove", (t_last, rng.random() < 0.75)))
+            ops.append(("smove", (t_last,)))
         if rng.random() < 0.15 and t > 2:
             ops.append(("gc", (t - 3,)))
         ops.append(("resolve", ()))
@@ -349,32 +369,35 @@ def _smove_resolve_trace(rng, monitor):
 
 
 def _forget_narrowing(enc):
-    """Make smove narrow its first predecessor and resolve walk every row."""
-    enc._clean_version = None
-    enc._built_version = None
+    """Make smove narrow its first predecessor and resolve walk every row.
+    The markers are set here, not left to ``_sync``, so that the reference
+    takes every row whichever way the code under test picks them."""
+    enc._version = None
+    enc._narrowed_from = enc.t_last + 1
+    enc._scanned_upto = enc.t_origin - 1
 
 
 def test_resolve_skipping_narrowed_rows_matches_full_walk():
     rng = random.Random(31)
     for _ in range(40):
         monitor = synthesis.build(random_formula(rng, ["a", "b", "c"], rng.randint(1, 4)))
-        fast, full = EHE(monitor, 0), EHE(monitor, 0)
         memory = Memory()
         stats_fast, stats_full = expr.SimplifyStats(), expr.SimplifyStats()
+        fast = EHE(monitor, 0, memory, stats_fast)
+        full = EHE(monitor, 0, memory, stats_full)
         for op, args in _smove_resolve_trace(rng, monitor):
             if op == "store":
                 memory.store(*args)
             elif op == "gc":
                 memory.gc(*args)
             elif op == "smove":
-                t, narrowed = args
-                fast.smove(t, stats_fast, memory if narrowed else None)
+                fast.smove(*args)
                 _forget_narrowing(full)
-                full.smove(t, stats_full, memory if narrowed else None)
+                full.smove(*args)
             else:
-                got = fast.resolve(memory, stats_fast)
+                got = fast.resolve()
                 _forget_narrowing(full)
-                want = full.resolve(memory, stats_full)
+                want = full.resolve()
                 assert got == want
                 assert fast.entries == full.entries
                 assert fast.n_entries == full.n_entries
@@ -397,8 +420,8 @@ def test_entries_are_simplify_fixed_points():
     for _ in range(40):
         monitor = synthesis.build(random_formula(rng, ["a", "b", "c"], rng.randint(1, 4)))
         trace = random_trace(rng, sorted(monitor.alphabet), 10)
-        enc = EHE(monitor, 0)
         memory = Memory()
+        enc = EHE(monitor, 0, memory)
         late = []
         for t, event in enumerate(trace):
             for name, value in event.items():
@@ -409,8 +432,7 @@ def test_entries_are_simplify_fixed_points():
             for _ in range(rng.randint(0, 2)):
                 if late:
                     memory.store(*late.pop(rng.randrange(len(late))))
-            stats = expr.SimplifyStats()
-            enc.smove(t + 1, stats, memory if rng.random() < 0.7 else None)
+            enc.smove(t + 1)
             _assert_fixed_points(enc)
-            enc.resolve(memory, stats)
+            enc.resolve()
             _assert_fixed_points(enc)

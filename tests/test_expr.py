@@ -8,6 +8,8 @@ from decrv import expr
 from decrv.expr import Atom, SimplifyStats
 from decrv.memory import Memory
 
+from conftest import seval
+
 A = expr.batom(Atom(1, "a"))
 B = expr.batom(Atom(1, "b"))
 C = expr.batom(Atom(2, "c"))
@@ -96,12 +98,12 @@ def test_seval_example():
     # <23,s1> | <23,l1> with s1 known true collapses to true
     e = expr.bor(expr.batom(Atom(23, "s1")), expr.batom(Atom(23, "l1")))
     m = _memory([(Atom(23, "s1"), True)])
-    assert expr.seval(e, m) is expr.BTRUE
+    assert seval(e, m) is expr.BTRUE
 
 
 def test_seval_empty_memory_is_simplify():
     e = expr.batom(Atom(5, "a"))
-    assert expr.seval(e, Memory()) is e
+    assert seval(e, Memory()) is e
 
 
 def test_stamp_shifts_timestamps():
@@ -154,14 +156,14 @@ def test_seval_total_memory_matches_truth_table(e):
             break
         assignment = dict(zip(names, bits))
         m = _memory(assignment.items())
-        assert expr.seval(e, m) is expr.bconst(expr.evaluate(e, assignment))
+        assert seval(e, m) is expr.bconst(expr.evaluate(e, assignment))
 
 
 @given(exprs())
 def test_seval_idempotent(e):
     m = _memory([(Atom(1, "a"), True), (Atom(2, "c"), False)])
-    once = expr.seval(e, m)
-    assert expr.seval(once, m) is once
+    once = seval(e, m)
+    assert seval(once, m) is once
 
 
 @given(exprs())
@@ -171,7 +173,7 @@ def test_seval_composes_over_disjoint_memories(e):
     both = _memory(
         [(Atom(1, "a"), True), (Atom(2, "d"), False), (Atom(1, "b"), False), (Atom(3, "e"), True)]
     )
-    assert expr.seval(e, both) is expr.seval(expr.seval(e, m1), m2)
+    assert seval(e, both) is seval(seval(e, m1), m2)
 
 
 def _forget_passes(e):
