@@ -9,25 +9,26 @@ Expansion conditions gate *when* the encoding is expanded: eagerly every
 round, on an explicit trigger over received-verdict literals, or on any
 message arrival (wildcard).
 
-Step table: expanding row t-1 to row t stamps every guard to round t-1,
-substitutes what the memory knows and simplifies.  The guards of a state
-p therefore only ever meet round t-1's atoms, so the monitor keeps one
-table for all rounds, keyed by ``(p, known, values)``: bitmasks over
-``monitor.alphabet`` of the round-(t-1) atoms in memory and of those that
-are true.  An entry holds p's guards with the known atoms substituted at
-time 0, and the row of a certain predecessor ``{p: true}`` simplified at
-time 0 with its rewrite count.  A certain predecessor is then a lookup:
-stamp each non-constant expression of that row to t-1 and charge the
-count.  A fully observed round is the case where every one is constant.
-Any other predecessor builds ``band(substitute_atoms(e_p, memory.get),
-stamp(G'_pq, t-1))``, which is the very node that substituting the
-memory into ``band(e_p, stamp(G_pq, t-1))`` gives, and simplifies it.
+Frames: row t is stored in its own time frame, as ``stamp(e, -t)``, so its
+atoms carry times relative to t; ``expr_at`` and ``dump`` stamp it back.
+Expanding row t-1 to row t depends only on row t-1 in its frame and on
+what the memory knows of round t-1, so the monitor keeps one step table
+for every row of every instance, keyed by ``(tuple(prev.items()), known,
+values)``: bitmasks over ``monitor.alphabet`` of the round-(t-1) atoms in
+memory and of those that are true.  An entry holds row t in frame t with
+its rewrite count and node count; a certain predecessor is just the key
+``((p, true),)``.  A miss builds in frame t-1, where the guard templates
+sit at time 0: substitute the known atoms into the guards, ``band`` each
+with its predecessor entry, simplify per successor and stamp by -1.  A hit
+does no ``stamp``, ``band`` or ``simplify``.  A predecessor row that is not
+narrowed against the memory is substituted first and built without an
+entry: such keys do not recur.
 
-Why a time-0 row is exact at every round: ``simplify`` compares nodes by
-identity only, so renaming atoms one-to-one, as stamping does, renames
-its result and applies the same rules the same number of times.  Rows,
-node counts and rewrite counts are those of building every row
-symbolically.
+Why a frame-relative row is exact: ``simplify`` and ``substitute_atoms``
+compare nodes by identity only, so renaming atoms one-to-one, as stamping
+does, renames their results and applies the same rules the same number of
+times.  Rows, node counts and rewrite counts are those of building every
+row symbolically at absolute times.
 """
 
 from __future__ import annotations
@@ -95,66 +96,58 @@ def sadvs(cond: Trigger, memory: Memory, t_cur: int, t_max: int) -> set[int]:
 
 
 class _Step:
-    """A ``monitor._steps`` entry: state p under one round's masks.
+    """A ``monitor._steps`` entry: the row that one predecessor row expands
+    to under one round's masks, in its own frame, as ``(q, expression)``
+    pairs, with its rewrite count and node count."""
 
-    ``guards`` are the guards out of p with the known atoms substituted
-    (time 0, unsimplified), for predecessors that are not certain.  ``row``
-    is what ``{p: true}`` expands to at time 0, as ``(q, expression,
-    constant?)``, with its rewrite count and node count.  Each is filled on
-    first use, so entries that only certain predecessors use hold no
-    substituted guard (those trees would stay in the intern table)."""
+    __slots__ = ("row", "rewrites", "size")
 
-    __slots__ = ("guards", "row", "rewrites", "size")
-
-    def __init__(self) -> None:
-        self.guards: Optional[tuple[tuple[int, BoolExpr], ...]] = None
-        self.row: Optional[tuple[tuple[int, BoolExpr, bool], ...]] = None
-        self.rewrites = 0
-        self.size = 0
+    def __init__(self, row: tuple[tuple[int, BoolExpr], ...], rewrites: int) -> None:
+        self.row = row
+        self.rewrites = rewrites
+        self.size = sum(e.size for _, e in row)
 
 
-def _step(
+def _build(
     monitor: synthesis.MooreMonitor,
-    templates: list[dict[int, BoolExpr]],
-    key: tuple[int, int, int],
-    certain: bool,
+    prev: tuple[tuple[int, BoolExpr], ...],
+    known: int,
+    values: int,
 ) -> _Step:
-    """Entry ``key = (p, known, values)``, with ``row`` filled if the
-    predecessor is certain and ``guards`` otherwise."""
-    step = monitor._steps.get(key)
-    if step is None:
-        step = monitor._steps[key] = _Step()
-    if (step.row if certain else step.guards) is not None:
-        return step
-    p, known, values = key
-    guards = sorted(templates[p].items())
-    if known:
-        at0 = {
-            Atom(0, name): bool(values >> i & 1)
-            for i, name in enumerate(monitor.alphabet)
-            if known >> i & 1
-        }
-        guards = [(q, expr.substitute_atoms(g, at0.get)) for q, g in guards]
-    if not certain:
-        step.guards = tuple(guards)
-        return step
+    """Expand ``prev`` (row t-1 in frame t-1) under the masks of round t-1."""
+    templates = synthesis.guard_templates(monitor)
+    at0 = {
+        Atom(0, name): bool(values >> i & 1)
+        for i, name in enumerate(monitor.alphabet)
+        if known >> i & 1
+    }
+    terms: dict[int, list[BoolExpr]] = {}
+    for p, e in prev:
+        for q, guard in sorted(templates[p].items()):
+            if at0:
+                guard = expr.substitute_atoms(guard, at0.get)
+            terms.setdefault(q, []).append(expr.band(e, guard))
     stats = SimplifyStats()
     row = []
-    for q, guard in guards:
-        e = expr.simplify(expr.band(expr.BTRUE, guard), stats)
-        if e is not expr.BFALSE:
-            row.append((q, e, isinstance(e, expr.BConst)))
-    step.row = tuple(row)
-    step.rewrites = stats.simplifications
-    step.size = sum(e.size for _, e, _ in row)
-    return step
+    for q in sorted(terms):
+        combined = expr.simplify(expr.disj(terms[q]), stats)
+        if combined is not expr.BFALSE:
+            row.append((q, expr.stamp(combined, -1)))
+    return _Step(tuple(row), stats.simplifications)
+
+
+def _lookup(memory: Memory, t: int):
+    """``memory.get`` for the atoms of a row in frame t."""
+    get = memory.get
+    return lambda a: get(Atom(a.time + t, a.name))
 
 
 class EHE:
-    """Entries (round, state) -> BoolExpr for one monitor instance, narrowed
-    against its own memory.  One watermark: rows from ``_narrowed_from`` on
-    are narrowed at memory version ``_version``, and rows up to
-    ``_scanned_upto`` have been checked for ``true``."""
+    """Entries (round, state) -> BoolExpr for one monitor instance, each
+    row in its own frame, narrowed against its own memory.  One watermark:
+    rows from ``_narrowed_from`` on are narrowed at memory version
+    ``_version``, and rows up to ``_scanned_upto`` have been checked for
+    ``true``."""
 
     __slots__ = (
         "monitor",
@@ -194,7 +187,9 @@ class EHE:
         self._total_size = expr.BTRUE.size
 
     def expr_at(self, t: int, state: int) -> Optional[BoolExpr]:
-        return self.entries.get(t, {}).get(state)
+        """The entry at absolute atom times."""
+        e = self.entries.get(t, {}).get(state)
+        return None if e is None else expr.stamp(e, t)
 
     # counters are maintained incrementally: entry rows can span thousands
     # of rounds and recounting them every round is quadratic
@@ -214,52 +209,36 @@ class EHE:
 
     def smove(self, t_future: int) -> None:
         """Expand entries up to t_future; guard atoms for step t-1 -> t are
-        stamped t-1.  States whose expression folds to false are dropped.
-        Each new row is narrowed against the memory as it is built, which
-        keeps expressions small and leaves the watermark where it is.
-
-        Guards come from the monitor's step table under the memory's masks
-        of round t-1, and a row whose predecessor is ``{p: true}`` is read
-        from it (see the module docstring); rows and rewrite counts are
-        those of building every row symbolically."""
+        those of round t-1.  States whose expression folds to false are
+        dropped.  Each new row is narrowed against the memory as it is
+        built, which keeps expressions small and leaves the watermark where
+        it is.  Rows come from the monitor's step table (see the module
+        docstring)."""
         if t_future <= self.t_last:
             return
         self._sync()
-        monitor, memory, stats = self.monitor, self.memory, self.stats
-        templates = synthesis.guard_templates(monitor)
-        alphabet = monitor.alphabet
+        monitor, memory = self.monitor, self.memory
+        steps = monitor._steps
         first = self.t_last + 1
-        stale = first - 1 < self._narrowed_from  # the row grown from is not narrowed
         for t in range(first, t_future + 1):
-            prev = self.entries[t - 1]
-            known, values = memory.masks(alphabet, t - 1)
-            if len(prev) == 1 and expr.BTRUE in prev.values():
-                [p] = prev
-                step = _step(monitor, templates, (p, known, values), True)
-                stats.bump(step.rewrites)
-                self.entries[t] = {
-                    q: e if const else expr.stamp(e, t - 1) for q, e, const in step.row
-                }
-                self._n_entries += len(step.row)
-                self._total_size += step.size
-                continue
-            terms: dict[int, list[BoolExpr]] = {}
-            for p, e in prev.items():
-                if stale and t == first:
-                    e = expr.substitute_atoms(e, memory.get)
-                step = _step(monitor, templates, (p, known, values), False)
-                for q, guard in step.guards:
-                    terms.setdefault(q, []).append(
-                        expr.band(e, expr.stamp(guard, t - 1))
-                    )
-            row: dict[int, BoolExpr] = {}
-            for q in sorted(terms):
-                combined = expr.simplify(expr.disj(terms[q]), stats)
-                if combined is not expr.BFALSE:
-                    row[q] = combined
-                    self._n_entries += 1
-                    self._total_size += combined.size
-            self.entries[t] = row
+            prev = tuple(self.entries[t - 1].items())
+            known, values = memory.masks(monitor.alphabet, t - 1)
+            step = None
+            if t == first and first - 1 < self._narrowed_from:
+                # the row grown from is not narrowed
+                lookup = _lookup(memory, t - 1)
+                narrowed = tuple((p, expr.substitute_atoms(e, lookup)) for p, e in prev)
+                if narrowed != prev:
+                    step = _build(monitor, narrowed, known, values)
+            if step is None:
+                key = (prev, known, values)
+                step = steps.get(key)
+                if step is None:
+                    step = steps[key] = _build(monitor, prev, known, values)
+            self.stats.bump(step.rewrites)
+            self.entries[t] = dict(step.row)
+            self._n_entries += len(step.row)
+            self._total_size += step.size
         self.t_last = t_future
 
     def resolve(self) -> Optional[tuple[int, int, Verdict]]:
@@ -277,16 +256,17 @@ class EHE:
         else:
             return self._found
         memory, stats = self.memory, self.stats
-        memo: dict = {}
         best = self._found
         for t in times:
             row = self.entries[t]
+            if t < narrowed_from:
+                lookup, memo = _lookup(memory, t), {}
             for q in sorted(row):
                 e = row[q]
                 if t < narrowed_from and not isinstance(e, expr.BConst):
                     # entries are simplify fixed points: with no atom
                     # substituted there is nothing to rewrite
-                    narrowed = expr.substitute_atoms(e, memory.get, memo)
+                    narrowed = expr.substitute_atoms(e, lookup, memo)
                     if narrowed is e:
                         continue
                     narrowed = expr.simplify(narrowed, stats)
@@ -311,9 +291,9 @@ class EHE:
         return best
 
     def dump(self) -> str:
-        """One ``t | state | expr`` row per entry."""
+        """One ``t | state | expr`` row per entry, at absolute atom times."""
         lines = []
         for t in sorted(self.entries):
             for q in sorted(self.entries[t]):
-                lines.append(f"{t} | q{q} | {self.entries[t][q]}")
+                lines.append(f"{t} | q{q} | {self.expr_at(t, q)}")
         return "\n".join(lines)

@@ -2,16 +2,20 @@
 
 Expressions are immutable and hash-consed: structurally equal live
 expressions are the same object, so equality checks and set membership are
-O(1) no matter how large the tree is.  The intern table is weak: it holds
-only expressions that something else still references, so it stays the
-size of the live working set instead of growing with every expression ever
-built.  Connectives are binary; chain-level rules (idempotence, absorption,
+O(1) no matter how large the tree is.  The intern table is a plain dict
+that keeps recently built nodes, so that a node which recurs, as the
+frame-relative rows of ``ehe`` do round after round, keeps its ``simplify``
+pass memo.  A sweep bounds it: when it reaches ``max(1024, 3/2 x its size
+after the last sweep)`` entries, it drops, newest first, every node that
+only the table references, which it reads from CPython's reference counts
+(``sys.getrefcount``), so the sweep relies on CPython.
+Connectives are binary; chain-level rules (idempotence, absorption,
 complement) flatten transparently.
 """
 
 from __future__ import annotations
 
-import weakref
+import sys
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -41,7 +45,7 @@ class BoolExpr:
     # _simp memoises one simplify pass over the node: (result, rewrite
     # count), with result None when the pass returns the node itself, so
     # that no node references itself
-    __slots__ = ("size", "_simp", "__weakref__")
+    __slots__ = ("size", "_simp")
 
 
 class BConst(BoolExpr):
@@ -88,10 +92,25 @@ def _wrap(e: BoolExpr) -> str:
 # the pass memo of a node that every pass leaves as it is
 _FIXED = (None, 0)
 
-# Keys hold child ids, not children.  A live node keeps its children alive,
-# so the ids in its key stay valid; a dead node's entry goes before its
-# address can be reused.  There is no lock: build expressions on one thread.
-_interned: weakref.WeakValueDictionary[tuple, BoolExpr] = weakref.WeakValueDictionary()
+# Keys hold child ids, not children.  A node in the table keeps its children
+# alive, so the ids in its key stay valid.  There is no lock: build
+# expressions on one thread.
+_interned: dict[tuple, BoolExpr] = {}
+_SWEEP_MIN = 1024
+_sweep_at = _SWEEP_MIN
+
+
+def _sweep() -> None:
+    """Drop the nodes that only the table references.  A node is inserted
+    after its children, so going newest first frees a dead parent before
+    its children are looked at; a dead node that only a younger node's pass
+    memo held waits for the next sweep."""
+    global _sweep_at
+    table = _interned
+    for key in reversed(list(table)):
+        if sys.getrefcount(table[key]) <= 2:  # the table and the argument
+            del table[key]
+    _sweep_at = max(_SWEEP_MIN, len(table) * 3 // 2)
 
 
 def _make_const(value: bool) -> BConst:
@@ -114,6 +133,8 @@ def batom(atom: Atom) -> BAtom:
     key = ("a", atom)
     node = _interned.get(key)
     if node is None:
+        if len(_interned) >= _sweep_at:
+            _sweep()
         node = _interned[key] = BAtom()
         node.atom = atom
         node.size = 1
@@ -125,6 +146,8 @@ def bnot(operand: BoolExpr) -> BNot:
     key = ("n", id(operand))
     node = _interned.get(key)
     if node is None:
+        if len(_interned) >= _sweep_at:
+            _sweep()
         node = _interned[key] = BNot()
         node.operand = operand
         node.size = operand.size + 1
@@ -136,6 +159,8 @@ def band(left: BoolExpr, right: BoolExpr) -> BAnd:
     key = ("&", id(left), id(right))
     node = _interned.get(key)
     if node is None:
+        if len(_interned) >= _sweep_at:
+            _sweep()
         node = _interned[key] = BAnd()
         node.left = left
         node.right = right
@@ -148,6 +173,8 @@ def bor(left: BoolExpr, right: BoolExpr) -> BOr:
     key = ("|", id(left), id(right))
     node = _interned.get(key)
     if node is None:
+        if len(_interned) >= _sweep_at:
+            _sweep()
         node = _interned[key] = BOr()
         node.left = left
         node.right = right
@@ -250,8 +277,10 @@ def _pass(e: BoolExpr) -> tuple[Optional[BoolExpr], int]:
     """One rewrite pass: (result, or None for e itself; rules applied).
 
     A pass is a pure function of the node: it compares nodes by identity
-    only, and the complement probe finds a negation only if it is live, as
-    it is when it is an operand.  So it is worked out once per node."""
+    only, and a negation that the complement probe finds matters only if it
+    is an operand, which it then is whether or not it was swept and built
+    again.  So it is worked out once per node, and a node that the table
+    hands back keeps its memo."""
     memo = e._simp
     if memo is None:
         memo = e._simp = _pass_once(e)
@@ -290,7 +319,7 @@ def _pass_once(e: BoolExpr) -> tuple[Optional[BoolExpr], int]:
         kept.append(t)
 
     for t in kept:  # complement
-        # a negation never interned cannot be among the operands
+        # a negation not in the table cannot be among the operands
         comp = t.operand if isinstance(t, BNot) else _interned.get(("n", id(t)))
         if comp in present:
             return annihilator, count + 1

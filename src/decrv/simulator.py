@@ -27,7 +27,7 @@ class SimulationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     sender: str
     receiver: str
@@ -58,7 +58,7 @@ class DeliveryPolicy:
         return send_round + 1 + rng.randint(0, self.delay)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerdictRecord:
     verdict: Verdict
     delay: int
@@ -212,6 +212,8 @@ def run_simulation(
     max_entries_per_round = []
     memory_per_round = []
     prev_simplifications = 0
+    # one shared record per (verdict, delay): the log holds one per round
+    records: dict[tuple[Verdict, int], VerdictRecord] = {}
 
     for r in range(n):
         # 1. deliver verdict messages that are due
@@ -230,7 +232,7 @@ def run_simulation(
         # 3. expand and resolve; conclude/respawn until quiescent
         sent = []
         for label in order:
-            sent.extend(_step_node(nodes[label], r))
+            sent.extend(_step_node(nodes[label], r, records))
 
         # 4. queue outgoing messages for later rounds
         for msg in sent:
@@ -302,7 +304,9 @@ def _expansion_target(node: _Node, r: int) -> Optional[int]:
     return max(hits) + 1
 
 
-def _step_node(node: _Node, r: int) -> list[Message]:
+def _step_node(
+    node: _Node, r: int, records: dict[tuple[Verdict, int], VerdictRecord]
+) -> list[Message]:
     out: list[Message] = []
     while True:
         target = _expansion_target(node, r)
@@ -315,7 +319,10 @@ def _step_node(node: _Node, r: int) -> list[Message]:
         if not verdict.final or node.t_check > r:
             break
         t = node.t_check
-        node.log[t] = VerdictRecord(verdict, r - t)
+        record = records.get((verdict, r - t))
+        if record is None:
+            record = records[verdict, r - t] = VerdictRecord(verdict, r - t)
+        node.log[t] = record
         for dep in node.dependents:
             out.append(Message(node.label, dep, t, verdict is Verdict.TRUE, r))
         if node.gc_enabled:

@@ -42,9 +42,10 @@ class MooreMonitor:
 
     ``_templates`` holds the guard templates once ``guard_templates`` has
     built them, and ``_steps`` the EHE step table as ``ehe`` fills it, keyed
-    by ``(state, known, values)``: bitmasks over ``alphabet`` of the atoms
-    of one round that are in memory and of those that are true.  Both live
-    on the monitor so they die with it.
+    by ``(prev, known, values)``: row t-1's ``(state, expression)`` pairs
+    in its own time frame, and bitmasks over ``alphabet`` of the round-(t-1)
+    atoms that are in memory and of those that are true.  Both live on the
+    monitor so they die with it.
     """
 
     __slots__ = ("alphabet", "initial", "delta", "labels", "_templates", "_steps")
@@ -61,7 +62,7 @@ class MooreMonitor:
         self.delta = delta
         self.labels = labels
         self._templates: Optional[list[dict[int, expr.BoolExpr]]] = None
-        self._steps: dict[tuple[int, int, int], object] = {}
+        self._steps: dict[tuple, object] = {}
 
     @property
     def n_states(self) -> int:

@@ -215,11 +215,12 @@ def _symbolic_row(monitor, prev, t, memory):
 def _step_matches_symbolic(monitor, prev, t, memory):
     stats = expr.SimplifyStats()
     enc = EHE(monitor, t - 1, memory, stats)
-    enc.entries[t - 1] = dict(prev)
+    # rows are stored in their own frame
+    enc.entries[t - 1] = {p: expr.stamp(e, -(t - 1)) for p, e in prev.items()}
     n0, size0 = enc.n_entries, enc.total_size
     enc.smove(t)
     row, work = _symbolic_row(monitor, prev, t, memory)
-    assert enc.entries[t] == row
+    assert {q: enc.expr_at(t, q) for q in enc.entries[t]} == row
     assert stats.simplifications == work
     assert enc.n_entries - n0 == len(row)
     assert enc.total_size - size0 == sum(e.size for e in row.values())
@@ -281,7 +282,7 @@ def test_step_with_missing_atom_stays_symbolic():
         p = rng.randrange(monitor.n_states)
         _step_matches_symbolic(monitor, {p: expr.BTRUE}, t, memory)
         # a partly observed round has its own key in the one step table
-        step = monitor._steps[(p, *memory.masks(monitor.alphabet, t - 1))]
+        step = monitor._steps[(((p, expr.BTRUE),), *memory.masks(monitor.alphabet, t - 1))]
         assert step.row is not None
 
 
@@ -343,9 +344,10 @@ def test_partial_step_table_matches_symbolic():
         assert monitor._steps == filled
 
 
-def _smove_resolve_trace(rng, monitor):
+def _smove_resolve_trace(rng, monitor, ahead=2):
     """Random interleaving of smove, late stores, gc and resolve, as
-    (operation, arguments) steps."""
+    (operation, arguments) steps; rows run up to ``ahead`` rounds past the
+    stored ones."""
     ops = []
     late = []
     t_last = 0
@@ -360,7 +362,7 @@ def _smove_resolve_trace(rng, monitor):
                 ops.append(("store", late.pop(rng.randrange(len(late)))))
         for _ in range(rng.choice([0, 1, 1, 2])):
             # rows may lag behind the stored rounds or run ahead of them
-            t_last = max(t_last, min(t + 2, t_last + rng.randint(0, 2)))
+            t_last = max(t_last, min(t + ahead, t_last + rng.randint(0, ahead)))
             ops.append(("smove", (t_last,)))
         if rng.random() < 0.15 and t > 2:
             ops.append(("gc", (t - 3,)))
@@ -436,3 +438,70 @@ def test_entries_are_simplify_fixed_points():
             _assert_fixed_points(enc)
             enc.resolve()
             _assert_fixed_points(enc)
+
+
+class _AbsoluteEHE:
+    """Reference for ``EHE``: rows at absolute atom times, every row
+    expanded by ``_symbolic_row`` and every entry narrowed by ``seval``."""
+
+    def __init__(self, monitor, memory):
+        self.monitor, self.memory = monitor, memory
+        self.rows = {0: {monitor.initial: expr.BTRUE}}
+        self.t_last = 0
+        self.found = None
+        self.stats = expr.SimplifyStats()
+
+    def smove(self, t_future):
+        for t in range(self.t_last + 1, t_future + 1):
+            self.rows[t], work = _symbolic_row(self.monitor, self.rows[t - 1], t, self.memory)
+            self.stats.bump(work)
+        self.t_last = max(self.t_last, t_future)
+
+    def resolve(self):
+        best = self.found
+        for t in sorted(self.rows):
+            row = self.rows[t]
+            for q in sorted(row):
+                e = seval(row[q], self.memory, self.stats)
+                if e is expr.BFALSE:
+                    del row[q]
+                    continue
+                row[q] = e
+                if e is expr.BTRUE and (best is None or t >= best[0]):
+                    best = (t, q, self.monitor.verdict(q))
+        self.found = best
+        if best is not None:
+            self.rows = {t: row for t, row in self.rows.items() if t >= best[0]}
+        return best
+
+
+def test_frame_relative_rows_match_absolute_recipe():
+    rng = random.Random(37)
+    for _ in range(40):
+        monitor = synthesis.build(random_formula(rng, ["a", "b", "c"], rng.randint(1, 4)))
+        memory = Memory()
+        stats = expr.SimplifyStats()
+        enc = EHE(monitor, 0, memory, stats)
+        ref = _AbsoluteEHE(monitor, memory)
+        # rows far ahead of the memory are symbolic rows with equal states
+        # and masks but different entries, which the step table tells apart
+        for op, args in _smove_resolve_trace(rng, monitor, ahead=5):
+            if op == "store":
+                memory.store(*args)
+                continue
+            if op == "gc":
+                memory.gc(*args)
+            elif op == "smove":
+                enc.smove(*args)
+                ref.smove(*args)
+            else:
+                assert enc.resolve() == ref.resolve()
+            got = {
+                t: {q: enc.expr_at(t, q) for q in row} for t, row in enc.entries.items()
+            }
+            assert got == ref.rows
+            assert stats.simplifications == ref.stats.simplifications
+            assert enc.n_entries == sum(len(row) for row in ref.rows.values())
+            assert enc.total_size == sum(
+                e.size for row in ref.rows.values() for e in row.values()
+            )

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from decrv import expr, oracle, registry, simulator
+from decrv import expr, oracle, registry, simulator, synthesis
 from decrv.registry import load_registry
 from decrv.simulator import (
     DeliveryPolicy,
@@ -289,18 +289,128 @@ def _intern_key(node):
     return (op, id(node.left), id(node.right))
 
 
+def _full_sweep():
+    """Sweep until a pass frees nothing: a dead node that only a younger
+    node's pass memo held goes in the next pass."""
+    while True:
+        size = len(expr._interned)
+        expr._sweep()
+        if len(expr._interned) == size:
+            return
+
+
+def _held_by_monitors():
+    """ids of the nodes that the cached monitors' guard templates and step
+    tables reach, through children and pass memos."""
+    stack = []
+    for monitor in synthesis._build_cache.values():
+        for edges in monitor._templates or ():
+            stack.extend(edges.values())
+        for (prev, _, _), step in monitor._steps.items():
+            stack.extend(e for _, e in prev + step.row)
+    held = {}
+    while stack:
+        node = stack.pop()
+        if id(node) in held:
+            continue
+        held[id(node)] = node
+        stack.extend(
+            getattr(node, slot) for slot in ("operand", "left", "right") if hasattr(node, slot)
+        )
+        if node._simp and node._simp[0] is not None:
+            stack.append(node._simp[0])
+    return held
+
+
+def _unheld_interned():
+    _full_sweep()
+    held = _held_by_monitors()
+    return sum(1 for node in expr._interned.values() if id(node) not in held)
+
+
 def test_replay_leaves_intern_table_at_live_size():
     reg = registry.bundled("amiqual")
     props = sorted(set().union(*(reg.own_props(l) for l in reg.monitors)))
     rng = random.Random(7)
-    # the first replay fills the guard templates of the cached monitors
+    # the first replay fills the guard templates of the cached monitors;
+    # what their step tables hold stays by design, so it is not counted
     run_simulation(reg, random_trace(rng, props, 40))
     gc.collect()
-    before = len(expr._interned)
+    before = _unheld_interned()
     report = run_simulation(reg, random_trace(rng, props, 160))
     assert report.rounds == 160
     del report
     gc.collect()
-    assert len(expr._interned) - before <= 10
+    assert _unheld_interned() - before <= 10
     for key, node in list(expr._interned.items()):
         assert _intern_key(node) == key
+
+
+def _amiqual_reports(reg, trace):
+    report = run_simulation(reg, trace)
+    return (
+        report.verdicts_csv(),
+        report.metrics_csv(),
+        report.summary_txt(),
+        report.timeline_tsv(),
+    )
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty intern table and monitor cache, so that a sweep walks only
+    what this test builds, not what earlier tests left alive."""
+    monkeypatch.setattr(expr, "_interned", {})
+    monkeypatch.setattr(expr, "_sweep_at", expr._SWEEP_MIN)
+    monkeypatch.setattr(synthesis, "_build_cache", {})
+    return monkeypatch
+
+
+def test_sweeping_on_every_insertion_leaves_reports_unchanged(fresh_tables):
+    reg = registry.bundled("amiqual")
+    props = sorted(set().union(*(reg.own_props(l) for l in reg.monitors)))
+    trace = random_trace(random.Random(13), props, 60)
+    sweep = expr._sweep
+    sweeps = []
+
+    def sweep_every_insertion():
+        # ~10,000 insertions on this trace; a sweep that drops live nodes
+        # breaks sharing, and simplify then never reaches a fixed point
+        sweeps.append(None)
+        assert len(sweeps) < 100_000, "the replay does not finish"
+        sweep()
+        expr._sweep_at = 0
+
+    with fresh_tables.context() as patch:
+        patch.setattr(expr, "_sweep", sweep_every_insertion)
+        patch.setattr(expr, "_sweep_at", 0)
+        swept = _amiqual_reports(reg, trace)
+    assert swept == _amiqual_reports(reg, trace)
+
+
+def test_intern_table_stays_bounded_between_sweeps(fresh_tables):
+    reg = registry.bundled("amiqual")
+    props = sorted(set().union(*(reg.own_props(l) for l in reg.monitors)))
+    sizes = []  # (size when a sweep starts, its bound, size after it)
+    sweep = expr._sweep
+
+    def recorded_sweep():
+        start, bound = len(expr._interned), expr._sweep_at
+        sweep()
+        sizes.append((start, bound, len(expr._interned)))
+
+    fresh_tables.setattr(expr, "_sweep", recorded_sweep)
+    run_simulation(reg, random_trace(random.Random(17), props, 200))
+    assert sizes
+    # the table grows one node at a time, so a sweep that starts at its
+    # bound bounds it at every insertion
+    for start, bound, _ in sizes:
+        assert start == bound
+    for (_, _, after), (_, bound, _) in zip(sizes, sizes[1:]):
+        assert bound == max(1024, after * 3 // 2)
+    assert len(expr._interned) <= max(1024, sizes[-1][2] * 3 // 2)
+    # a sweep drops only nodes that nothing else holds: everything the
+    # monitors hold is still the one interned node of its structure
+    for node in _held_by_monitors().values():
+        if not isinstance(node, expr.BConst):
+            assert expr._interned[_intern_key(node)] is node
