@@ -9,20 +9,22 @@ Expansion conditions gate *when* the encoding is expanded: eagerly every
 round, on an explicit trigger over received-verdict literals, or on any
 message arrival (wildcard).
 
-Frames: row t is stored in its own time frame, as ``stamp(e, -t)``, so its
-atoms carry times relative to t; ``expr_at`` and ``dump`` stamp it back.
-Expanding row t-1 to row t depends only on row t-1 in its frame and on
-what the memory knows of round t-1, so the monitor keeps one step table
-for every row of every instance, keyed by ``(tuple(prev.items()), known,
-values)``: bitmasks over ``monitor.alphabet`` of the round-(t-1) atoms in
-memory and of those that are true.  An entry holds row t in frame t with
-its rewrite count and node count; a certain predecessor is just the key
-``((p, true),)``.  A miss builds in frame t-1, where the guard templates
-sit at time 0: substitute the known atoms into the guards, ``band`` each
-with its predecessor entry, simplify per successor and stamp by -1.  A hit
-does no ``stamp``, ``band`` or ``simplify``.  A predecessor row that is not
-narrowed against the memory is substituted first and built without an
-entry: such keys do not recur.
+Narrow, then expand: ``smove`` first narrows every row against the memory
+(``resolve``), so each row grows from a narrowed predecessor.
+
+Frames: row t is stored in its own time frame, as ``(q, stamp(e, -t))``
+pairs in q order, so its atoms carry times relative to t; ``expr_at`` and
+``dump`` stamp it back.  Expanding narrowed row t-1 to row t depends only
+on row t-1 in its frame and on what the memory knows of round t-1, so the
+monitor keeps one step table for every row of every instance, keyed by
+``(prev, known, values)``: bitmasks over ``monitor.alphabet`` of the
+round-(t-1) atoms in memory and of those that are true.  An entry holds
+row t in frame t, which the encoding stores as is, with its rewrite count
+and node count; a certain predecessor is just the key ``((p, true),)``.  A
+miss builds in frame t-1, where the guard templates sit at time 0:
+substitute the known atoms into the guards, ``band`` each with its
+predecessor entry, simplify per successor and stamp by -1.  A hit does no
+``stamp``, ``band`` or ``simplify``.
 
 Why a frame-relative row is exact: ``simplify`` and ``substitute_atoms``
 compare nodes by identity only, so renaming atoms one-to-one, as stamping
@@ -143,11 +145,10 @@ def _lookup(memory: Memory, t: int):
 
 
 class EHE:
-    """Entries (round, state) -> BoolExpr for one monitor instance, each
-    row in its own frame, narrowed against its own memory.  One watermark:
-    rows from ``_narrowed_from`` on are narrowed at memory version
-    ``_version``, and rows up to ``_scanned_upto`` have been checked for
-    ``true``."""
+    """Rows round -> ``((state, BoolExpr), ...)`` for one monitor instance,
+    each row in its own frame, narrowed against its own memory.  One
+    watermark: every row is narrowed at memory version ``_version``, and
+    rows up to ``_scanned_upto`` have been checked for ``true``."""
 
     __slots__ = (
         "monitor",
@@ -157,7 +158,6 @@ class EHE:
         "t_origin",
         "t_last",
         "_version",
-        "_narrowed_from",
         "_scanned_upto",
         "_found",
         "_n_entries",
@@ -176,11 +176,10 @@ class EHE:
         self.stats = SimplifyStats() if stats is None else stats
         self.t_origin = t_origin
         self.t_last = t_origin
-        self.entries: dict[int, dict[int, BoolExpr]] = {
-            t_origin: {monitor.initial: expr.BTRUE}
+        self.entries: dict[int, tuple[tuple[int, BoolExpr], ...]] = {
+            t_origin: ((monitor.initial, expr.BTRUE),)
         }
         self._version: Optional[int] = None
-        self._narrowed_from = t_origin + 1
         self._scanned_upto = t_origin - 1
         self._found: Optional[tuple[int, int, Verdict]] = None
         self._n_entries = 1
@@ -188,8 +187,10 @@ class EHE:
 
     def expr_at(self, t: int, state: int) -> Optional[BoolExpr]:
         """The entry at absolute atom times."""
-        e = self.entries.get(t, {}).get(state)
-        return None if e is None else expr.stamp(e, t)
+        for q, e in self.entries.get(t, ()):
+            if q == state:
+                return expr.stamp(e, t)
+        return None
 
     # counters are maintained incrementally: entry rows can span thousands
     # of rounds and recounting them every round is quadratic
@@ -201,99 +202,86 @@ class EHE:
     def total_size(self) -> int:
         return self._total_size
 
-    def _sync(self) -> None:
-        """A store or gc since the last look leaves no row narrowed."""
-        if self._version != self.memory.version:
-            self._version = self.memory.version
-            self._narrowed_from = self.t_last + 1
-
     def smove(self, t_future: int) -> None:
-        """Expand entries up to t_future; guard atoms for step t-1 -> t are
-        those of round t-1.  States whose expression folds to false are
-        dropped.  Each new row is narrowed against the memory as it is
-        built, which keeps expressions small and leaves the watermark where
-        it is.  Rows come from the monitor's step table (see the module
-        docstring)."""
+        """Narrow the rows (``resolve``), then expand them up to t_future;
+        guard atoms for step t-1 -> t are those of round t-1.  States whose
+        expression folds to false are dropped.  A row built from a narrowed
+        predecessor and the known atoms of its round is narrowed too, so
+        the watermark stays where it is.  Rows come from the monitor's step
+        table (see the module docstring)."""
         if t_future <= self.t_last:
             return
-        self._sync()
-        monitor, memory = self.monitor, self.memory
+        self.resolve()
+        monitor, memory, entries = self.monitor, self.memory, self.entries
         steps = monitor._steps
-        first = self.t_last + 1
-        for t in range(first, t_future + 1):
-            prev = tuple(self.entries[t - 1].items())
+        for t in range(self.t_last + 1, t_future + 1):
+            prev = entries[t - 1]
             known, values = memory.masks(monitor.alphabet, t - 1)
-            step = None
-            if t == first and first - 1 < self._narrowed_from:
-                # the row grown from is not narrowed
-                lookup = _lookup(memory, t - 1)
-                narrowed = tuple((p, expr.substitute_atoms(e, lookup)) for p, e in prev)
-                if narrowed != prev:
-                    step = _build(monitor, narrowed, known, values)
+            key = (prev, known, values)
+            step = steps.get(key)
             if step is None:
-                key = (prev, known, values)
-                step = steps.get(key)
-                if step is None:
-                    step = steps[key] = _build(monitor, prev, known, values)
+                step = steps[key] = _build(monitor, prev, known, values)
             self.stats.bump(step.rewrites)
-            self.entries[t] = dict(step.row)
+            entries[t] = step.row
             self._n_entries += len(step.row)
             self._total_size += step.size
         self.t_last = t_future
 
     def resolve(self) -> Optional[tuple[int, int, Verdict]]:
-        """Narrow the rows below the watermark against the memory and
-        report the greatest round whose state became certain.  Rows at or
-        above it are only scanned for ``true``, and only once, so a
-        quiescent round costs nothing.  Rows older than the latest certain
-        round are dropped — the state there is settled."""
-        self._sync()
-        narrowed_from = self._narrowed_from
-        if narrowed_from > self.t_origin:
-            times = sorted(self.entries)
+        """Report the greatest round whose state became certain.  When the
+        memory has changed since the last pass, narrow every row against
+        it; otherwise only check the rows not yet scanned for ``true``, so
+        a quiescent round costs nothing.  Rows older than the latest
+        certain round are dropped — the state there is settled."""
+        memory, entries = self.memory, self.entries
+        narrow = self._version != memory.version
+        if narrow:
+            times = entries  # replacing a row in place keeps the dict's keys
         elif self._scanned_upto < self.t_last:
             times = range(self._scanned_upto + 1, self.t_last + 1)
         else:
             return self._found
-        memory, stats = self.memory, self.stats
+        stats = self.stats
         best = self._found
         for t in times:
-            row = self.entries[t]
-            if t < narrowed_from:
+            row = entries[t]
+            if narrow:
                 lookup, memo = _lookup(memory, t), {}
-            for q in sorted(row):
-                e = row[q]
-                if t < narrowed_from and not isinstance(e, expr.BConst):
-                    # entries are simplify fixed points: with no atom
-                    # substituted there is nothing to rewrite
-                    narrowed = expr.substitute_atoms(e, lookup, memo)
-                    if narrowed is e:
-                        continue
-                    narrowed = expr.simplify(narrowed, stats)
-                    if narrowed is expr.BFALSE:
-                        del row[q]
-                        self._n_entries -= 1
-                        self._total_size -= e.size
-                        continue
-                    row[q] = narrowed
-                    self._total_size += narrowed.size - e.size
-                    e = narrowed
+                pairs, changed = [], False
+                for q, e in row:
+                    if not isinstance(e, expr.BConst):
+                        # entries are simplify fixed points: with no atom
+                        # substituted there is nothing to rewrite
+                        narrowed = expr.substitute_atoms(e, lookup, memo)
+                        if narrowed is not e:
+                            changed = True
+                            narrowed = expr.simplify(narrowed, stats)
+                            if narrowed is expr.BFALSE:
+                                self._n_entries -= 1
+                                self._total_size -= e.size
+                                continue
+                            self._total_size += narrowed.size - e.size
+                            e = narrowed
+                    pairs.append((q, e))
+                if changed:
+                    row = entries[t] = tuple(pairs)
+            for q, e in row:
                 if e is expr.BTRUE and (best is None or t >= best[0]):
                     best = (t, q, self.monitor.verdict(q))
-        self._narrowed_from = self.t_origin
+        self._version = memory.version
         self._scanned_upto = self.t_last
         self._found = best
         if best is not None:
-            for t in [t for t in self.entries if t < best[0]]:
-                row = self.entries.pop(t)
+            for t in [t for t in entries if t < best[0]]:
+                row = entries.pop(t)
                 self._n_entries -= len(row)
-                self._total_size -= sum(e.size for e in row.values())
+                self._total_size -= sum(e.size for _, e in row)
         return best
 
     def dump(self) -> str:
         """One ``t | state | expr`` row per entry, at absolute atom times."""
         lines = []
         for t in sorted(self.entries):
-            for q in sorted(self.entries[t]):
-                lines.append(f"{t} | q{q} | {self.expr_at(t, q)}")
+            for q, e in self.entries[t]:
+                lines.append(f"{t} | q{q} | {expr.stamp(e, t)}")
         return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from .expr import Atom
 
@@ -36,9 +36,6 @@ class Memory:
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self._data
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self._data)
 
     def get(self, atom: Atom) -> Optional[bool]:
         return self._data.get(atom)

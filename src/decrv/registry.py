@@ -18,7 +18,7 @@ from importlib import resources
 from typing import Optional, Union
 
 from . import ltl
-from .ehe import EAGER, WILDCARD, Trigger, TriggerAnd, TriggerLit, TriggerOr
+from .ehe import EAGER, WILDCARD, Trigger, TriggerAnd, TriggerLit, TriggerOr, trigger_labels
 
 Expansion = Union[str, Trigger]  # EAGER, WILDCARD, or an explicit trigger
 
@@ -154,8 +154,6 @@ def _validate(
                 f"proposition of component {decl.component!r} nor another monitor"
             )
         if not isinstance(decl.expansion, str):
-            from .ehe import trigger_labels
-
             for name in sorted(trigger_labels(decl.expansion) - labels):
                 raise SpecError(f"trigger of {decl.label!r} names unknown monitor {name!r}")
 

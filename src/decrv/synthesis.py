@@ -14,7 +14,6 @@ Events are total truth assignments over the alphabet, encoded as bitmasks
 from __future__ import annotations
 
 import operator
-import os
 import time
 from collections import deque
 from typing import Iterable, Mapping, Optional, Sequence
@@ -28,13 +27,6 @@ MAX_ALPHABET = 16
 
 class SynthesisCapacityError(RuntimeError):
     """Construction exceeded the configured state ceiling."""
-
-
-def max_states_limit(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("DECRV_MAX_STATES")
-    return int(env) if env else DEFAULT_MAX_STATES
 
 
 class MooreMonitor:
@@ -396,7 +388,7 @@ def synthesize(
     same capacity error as the state ceiling.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
-    limit = max_states_limit(max_states)
+    limit = DEFAULT_MAX_STATES if max_states is None else max_states
     f = ltl.desugar(f)
     alphabet = tuple(sorted(ltl.propositions(f)))
     if len(alphabet) > MAX_ALPHABET:
@@ -492,7 +484,9 @@ def build(
     timeout: Optional[float] = None,
 ) -> MooreMonitor:
     """Synthesize + minimize, cached by rendered formula."""
-    key = (ltl.render(f), max_states_limit(max_states))
+    if max_states is None:
+        max_states = DEFAULT_MAX_STATES
+    key = (ltl.render(f), max_states)
     got = _build_cache.get(key)
     if got is None:
         got = minimize(synthesize(f, max_states, timeout))

@@ -42,13 +42,13 @@ def test_smove_same_round_is_noop():
 
 def _check_exhaustive_and_exclusive(e):
     for t, row in e.entries.items():
-        names = sorted({a for ex in row.values() for a in expr.atoms(ex)})
+        names = sorted({a for _, ex in row for a in expr.atoms(ex)})
         if len(names) > 12:
             continue
         for bits in itertools.product((False, True), repeat=len(names)):
             assignment = dict(zip(names, bits))
             hits = [
-                q for q, ex in row.items() if expr.evaluate(ex, assignment)
+                q for q, ex in row if expr.evaluate(ex, assignment)
             ]
             assert len(hits) == 1, (t, assignment, e.dump())
 
@@ -213,17 +213,25 @@ def _symbolic_row(monitor, prev, t, memory):
 
 
 def _step_matches_symbolic(monitor, prev, t, memory):
+    """smove narrows ``prev`` (row t-1, a dict in disjunct order), then
+    expands it to round t."""
     stats = expr.SimplifyStats()
     enc = EHE(monitor, t - 1, memory, stats)
     # rows are stored in their own frame
-    enc.entries[t - 1] = {p: expr.stamp(e, -(t - 1)) for p, e in prev.items()}
+    enc.entries[t - 1] = tuple((p, expr.stamp(e, -(t - 1))) for p, e in prev.items())
     n0, size0 = enc.n_entries, enc.total_size
     enc.smove(t)
-    row, work = _symbolic_row(monitor, prev, t, memory)
-    assert {q: enc.expr_at(t, q) for q in enc.entries[t]} == row
-    assert stats.simplifications == work
-    assert enc.n_entries - n0 == len(row)
-    assert enc.total_size - size0 == sum(e.size for e in row.values())
+    ref_stats = expr.SimplifyStats()
+    narrowed = {p: seval(e, memory, ref_stats) for p, e in prev.items()}
+    narrowed = {p: e for p, e in narrowed.items() if e is not expr.BFALSE}
+    row, work = _symbolic_row(monitor, narrowed, t, memory)
+    assert [q for q, _ in enc.entries[t]] == sorted(row)
+    assert {q: enc.expr_at(t, q) for q, _ in enc.entries[t]} == row
+    assert stats.simplifications == ref_stats.simplifications + work
+    # the narrowing pass replaced prev's entries by their narrowed forms
+    size = lambda r: sum(e.size for e in r.values())
+    assert enc.n_entries - n0 == len(row) + len(narrowed) - len(prev)
+    assert enc.total_size - size0 == size(row) + size(narrowed) - size(prev)
 
 
 def _full_memory(rng, monitor, t):
@@ -301,11 +309,12 @@ def test_multi_entry_row_stays_symbolic():
 
 
 def _random_entry(rng, names, t):
-    """A small expression over round-t atoms."""
+    """A small expression over round-t atoms that is a ``simplify`` fixed
+    point, as every real entry is: ``resolve`` skips ``simplify`` on an
+    entry that takes in no atom, where ``seval`` would rewrite it."""
     a, b = (expr.batom(Atom(t, rng.choice(names))) for _ in range(2))
-    return rng.choice(
-        [a, expr.bnot(a), expr.band(a, expr.bnot(b)), expr.bor(expr.bnot(a), b)]
-    )
+    shapes = [a, expr.bnot(a), expr.band(a, expr.bnot(b)), expr.bor(expr.bnot(a), b)]
+    return rng.choice([e for e in shapes if expr.simplify(e) is e])
 
 
 def test_partial_step_table_matches_symbolic():
@@ -371,11 +380,10 @@ def _smove_resolve_trace(rng, monitor, ahead=2):
 
 
 def _forget_narrowing(enc):
-    """Make smove narrow its first predecessor and resolve walk every row.
-    The markers are set here, not left to ``_sync``, so that the reference
-    takes every row whichever way the code under test picks them."""
+    """Make the next narrowing pass walk and scan every row, so that the
+    reference takes every row whichever way the code under test picks
+    them."""
     enc._version = None
-    enc._narrowed_from = enc.t_last + 1
     enc._scanned_upto = enc.t_origin - 1
 
 
@@ -409,7 +417,7 @@ def test_resolve_skipping_narrowed_rows_matches_full_walk():
 
 def _assert_fixed_points(enc):
     for row in enc.entries.values():
-        for e in row.values():
+        for _, e in row:
             stats = expr.SimplifyStats()
             assert expr.simplify(e, stats) is e
             assert stats.simplifications == 0
@@ -441,8 +449,9 @@ def test_entries_are_simplify_fixed_points():
 
 
 class _AbsoluteEHE:
-    """Reference for ``EHE``: rows at absolute atom times, every row
-    expanded by ``_symbolic_row`` and every entry narrowed by ``seval``."""
+    """Reference for ``EHE``: rows at absolute atom times, every entry
+    narrowed by ``seval`` before every row is expanded by
+    ``_symbolic_row``."""
 
     def __init__(self, monitor, memory):
         self.monitor, self.memory = monitor, memory
@@ -452,10 +461,13 @@ class _AbsoluteEHE:
         self.stats = expr.SimplifyStats()
 
     def smove(self, t_future):
+        if t_future <= self.t_last:
+            return
+        self.resolve()
         for t in range(self.t_last + 1, t_future + 1):
             self.rows[t], work = _symbolic_row(self.monitor, self.rows[t - 1], t, self.memory)
             self.stats.bump(work)
-        self.t_last = max(self.t_last, t_future)
+        self.t_last = t_future
 
     def resolve(self):
         best = self.found
@@ -497,7 +509,7 @@ def test_frame_relative_rows_match_absolute_recipe():
             else:
                 assert enc.resolve() == ref.resolve()
             got = {
-                t: {q: enc.expr_at(t, q) for q in row} for t, row in enc.entries.items()
+                t: {q: enc.expr_at(t, q) for q, _ in row} for t, row in enc.entries.items()
             }
             assert got == ref.rows
             assert stats.simplifications == ref.stats.simplifications
@@ -505,3 +517,30 @@ def test_frame_relative_rows_match_absolute_recipe():
             assert enc.total_size == sum(
                 e.size for row in ref.rows.values() for e in row.values()
             )
+
+
+def test_smove_appends_step_rows_narrowed_against_memory():
+    rng = random.Random(41)
+    for _ in range(40):
+        monitor = synthesis.build(random_formula(rng, ["a", "b", "c"], rng.randint(1, 4)))
+        memory = Memory()
+        enc = EHE(monitor, 0, memory)
+        for op, args in _smove_resolve_trace(rng, monitor, ahead=3):
+            if op == "store":
+                memory.store(*args)
+            elif op == "gc":
+                memory.gc(*args)
+            elif op == "resolve":
+                enc.resolve()
+            else:
+                t_last = enc.t_last
+                enc.smove(*args)
+                if enc.t_last == t_last:
+                    continue  # nothing to expand, nothing narrowed
+                # each new row is the step table's own row for its key
+                for t in range(t_last + 1, enc.t_last + 1):
+                    key = (enc.entries[t - 1], *memory.masks(monitor.alphabet, t - 1))
+                    assert enc.entries[t] is monitor._steps[key].row
+                for t, row in enc.entries.items():
+                    for _, e in row:
+                        assert not any(a in memory for a in expr.atoms(expr.stamp(e, t)))

@@ -73,9 +73,9 @@ def test_gc_idempotent():
     m.store(Atom(3, "a"), True)
     m.store(Atom(5, "b"), False)
     m.gc(3)
-    snapshot = sorted(m)
+    snapshot = m.dump()
     m.gc(3)
-    assert sorted(m) == snapshot
+    assert m.dump() == snapshot
 
 
 def test_version_tracks_mutations():

@@ -262,7 +262,7 @@ AMIQUAL_60_VERDICTS_SHA256 = (
     "13f548205fe72abadc7c9ebf5c8ed890eff483b7c1884d01fa5ca45399007e36"
 )
 AMIQUAL_60_METRICS_SHA256 = (
-    "2b831fd329a55ed48a11ded3d0986ad55fbec4f64f8073c88c543d55750f7f17"
+    "5b01881f0c9de1f9266ffcf7c24a76e9b68b9e7cd3ca16a8aa2db5700999211b"
 )
 
 
@@ -278,6 +278,23 @@ def test_amiqual_replay_outputs_pinned():
             for text in (report.verdicts_csv(), report.metrics_csv())
         )
         assert digests == (AMIQUAL_60_VERDICTS_SHA256, AMIQUAL_60_METRICS_SHA256)
+
+
+AMIQUAL_60_REORDER_VERDICTS_SHA256 = (
+    "a49a3b4e630b0ad28cd9f1db62e3dc85b9759b7e120dce3998572a26290f05bd"
+)
+
+
+def test_amiqual_reorder_replay_verdicts_pinned():
+    # late deliveries make stores land behind rows already expanded
+    reg = registry.bundled("amiqual")
+    props = sorted(set().union(*(reg.own_props(l) for l in reg.monitors)))
+    trace = random_trace(random.Random(7), props, 60)
+    options = SimulationOptions(delivery=DeliveryPolicy("reorder", 3))
+    for _ in range(2):
+        report = run_simulation(reg, trace, options)
+        digest = hashlib.sha256(report.verdicts_csv().encode()).hexdigest()
+        assert digest == AMIQUAL_60_REORDER_VERDICTS_SHA256
 
 
 def _intern_key(node):

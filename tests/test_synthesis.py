@@ -199,13 +199,6 @@ def test_capacity_ceiling():
         synthesis.synthesize(ltl.desugar(reg.inline("sc_ok")), max_states=4)
 
 
-def test_capacity_via_environment(monkeypatch):
-    monkeypatch.setenv("DECRV_MAX_STATES", "4")
-    reg = registry.light_switch_family(2)
-    with pytest.raises(SynthesisCapacityError):
-        synthesis.synthesize(ltl.desugar(reg.inline("sc_ok")))
-
-
 def test_alphabet_ceiling():
     wide = " & ".join(f"G p{i}" for i in range(17))
     with pytest.raises(SynthesisCapacityError):
