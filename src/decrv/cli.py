@@ -159,13 +159,13 @@ def _parse_delivery(text: str) -> tuple[simulator.DeliveryPolicy, int]:
 
 
 def cmd_replay(args) -> int:
+    delivery, seed = _parse_delivery(args.delivery)
     reg = _load_spec(args.spec)
     if args.labels is not None:
         reg = reg.restrict([l.strip() for l in args.labels.split(",")])
     peripheries = traceio.load_manifest(args.manifest)
     config = traceio.PollConfig(args.start, args.end, args.interval)
     trace = traceio.poll_trace(peripheries, config)
-    delivery, seed = _parse_delivery(args.delivery)
     options = simulator.SimulationOptions(
         delivery=delivery,
         seed=seed,

@@ -26,11 +26,21 @@ substitute the known atoms into the guards, ``band`` each with its
 predecessor entry, simplify per successor and stamp by -1.  A hit does no
 ``stamp``, ``band`` or ``simplify``.
 
+Narrowing row t is a lookup too.  What it narrows to depends only on the
+row in its frame and on what the memory holds for the row's atoms, so the
+monitor keeps one narrow table, keyed by ``(row, known, values)``:
+bitmasks over the row's sorted atoms (``monitor._row_atoms[row]``, worked
+out once per row) of those the memory holds at ``a.time + t`` and of
+those that are true.  An entry holds the narrowed row, its rewrite count
+and what it adds to the encoding's entry and node counts.  A row none of
+whose atoms is known is left as it is; a miss substitutes the known atoms
+and simplifies each entry that takes one in (``_narrow``).
+
 Why a frame-relative row is exact: ``simplify`` and ``substitute_atoms``
 compare nodes by identity only, so renaming atoms one-to-one, as stamping
 does, renames their results and applies the same rules the same number of
-times.  Rows, node counts and rewrite counts are those of building every
-row symbolically at absolute times.
+times.  Rows, node counts and rewrite counts are those of narrowing and
+building every row symbolically at absolute times.
 """
 
 from __future__ import annotations
@@ -138,10 +148,55 @@ def _build(
     return _Step(tuple(row), stats.simplifications)
 
 
-def _lookup(memory: Memory, t: int):
-    """``memory.get`` for the atoms of a row in frame t."""
-    get = memory.get
-    return lambda a: get(Atom(a.time + t, a.name))
+class _Narrow:
+    """A ``monitor._narrows`` entry: one row narrowed under one set of
+    values for its atoms, in the row's frame, with its rewrite count and
+    what it adds to the encoding's entry and node counts."""
+
+    __slots__ = ("row", "rewrites", "d_entries", "d_size")
+
+    def __init__(
+        self, row: tuple[tuple[int, BoolExpr], ...], rewrites: int, d_entries: int, d_size: int
+    ) -> None:
+        self.row = row
+        self.rewrites = rewrites
+        self.d_entries = d_entries
+        self.d_size = d_size
+
+
+def _atoms_of(row: tuple[tuple[int, BoolExpr], ...]) -> tuple[Atom, ...]:
+    """The atoms of a row in its frame, sorted: the bit order of its masks."""
+    return tuple(sorted(set().union(*(expr.atoms(e) for _, e in row))))
+
+
+def _narrow(
+    row: tuple[tuple[int, BoolExpr], ...],
+    atoms: tuple[Atom, ...],
+    known: int,
+    values: int,
+) -> _Narrow:
+    """Substitute the known atoms into every entry of ``row`` and simplify
+    the entries that take one in; drop those that fold to false."""
+    at = {a: bool(values >> i & 1) for i, a in enumerate(atoms) if known >> i & 1}
+    lookup, memo = at.get, {}
+    stats = SimplifyStats()
+    pairs = []
+    d_entries = d_size = 0
+    for q, e in row:
+        if not isinstance(e, expr.BConst):
+            # entries are simplify fixed points: with no atom substituted
+            # there is nothing to rewrite
+            narrowed = expr.substitute_atoms(e, lookup, memo)
+            if narrowed is not e:
+                narrowed = expr.simplify(narrowed, stats)
+                if narrowed is expr.BFALSE:
+                    d_entries -= 1
+                    d_size -= e.size
+                    continue
+                d_size += narrowed.size - e.size
+                e = narrowed
+        pairs.append((q, e))
+    return _Narrow(tuple(pairs), stats.simplifications, d_entries, d_size)
 
 
 class EHE:
@@ -231,8 +286,10 @@ class EHE:
         """Report the greatest round whose state became certain.  When the
         memory has changed since the last pass, narrow every row against
         it; otherwise only check the rows not yet scanned for ``true``, so
-        a quiescent round costs nothing.  Rows older than the latest
-        certain round are dropped — the state there is settled."""
+        a quiescent round costs nothing.  Narrowing a row is a lookup in
+        the monitor's narrow table (see the module docstring).  Rows older
+        than the latest certain round are dropped — the state there is
+        settled."""
         memory, entries = self.memory, self.entries
         narrow = self._version != memory.version
         if narrow:
@@ -241,41 +298,45 @@ class EHE:
             times = range(self._scanned_upto + 1, self.t_last + 1)
         else:
             return self._found
-        stats = self.stats
+        monitor, stats, get = self.monitor, self.stats, memory.get
+        narrows, row_atoms = monitor._narrows, monitor._row_atoms
         best = self._found
         for t in times:
             row = entries[t]
             if narrow:
-                lookup, memo = _lookup(memory, t), {}
-                pairs, changed = [], False
-                for q, e in row:
-                    if not isinstance(e, expr.BConst):
-                        # entries are simplify fixed points: with no atom
-                        # substituted there is nothing to rewrite
-                        narrowed = expr.substitute_atoms(e, lookup, memo)
-                        if narrowed is not e:
-                            changed = True
-                            narrowed = expr.simplify(narrowed, stats)
-                            if narrowed is expr.BFALSE:
-                                self._n_entries -= 1
-                                self._total_size -= e.size
-                                continue
-                            self._total_size += narrowed.size - e.size
-                            e = narrowed
-                    pairs.append((q, e))
-                if changed:
-                    row = entries[t] = tuple(pairs)
+                atoms = row_atoms.get(row)
+                if atoms is None:
+                    atoms = row_atoms[row] = _atoms_of(row)
+                known = values = 0
+                for i, (time, name) in enumerate(atoms):
+                    value = get(Atom(time + t, name))
+                    if value is not None:
+                        known |= 1 << i
+                        if value:
+                            values |= 1 << i
+                if known:  # a substituted atom always changes the row
+                    key = (row, known, values)
+                    narrowed = narrows.get(key)
+                    if narrowed is None:
+                        narrowed = narrows[key] = _narrow(row, atoms, known, values)
+                    stats.bump(narrowed.rewrites)
+                    self._n_entries += narrowed.d_entries
+                    self._total_size += narrowed.d_size
+                    row = entries[t] = narrowed.row
             for q, e in row:
                 if e is expr.BTRUE and (best is None or t >= best[0]):
-                    best = (t, q, self.monitor.verdict(q))
+                    best = (t, q, monitor.verdict(q))
+        if best is not None:
+            # rows are kept in ascending t, from the last certain round on
+            first = self.t_origin if self._found is None else self._found[0]
+            for t in range(first, best[0]):
+                row = entries.pop(t)
+                self._n_entries -= len(row)
+                for _, e in row:
+                    self._total_size -= e.size
         self._version = memory.version
         self._scanned_upto = self.t_last
         self._found = best
-        if best is not None:
-            for t in [t for t in entries if t < best[0]]:
-                row = entries.pop(t)
-                self._n_entries -= len(row)
-                self._total_size -= sum(e.size for _, e in row)
         return best
 
     def dump(self) -> str:

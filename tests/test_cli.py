@@ -220,6 +220,22 @@ def test_replay_delivery_flags(workspace):
     assert code == 1
 
 
+def test_replay_bad_delivery_reported_before_missing_manifest(workspace, capsys):
+    # the flag is checked before any log is loaded
+    code = main(
+        [
+            "replay", str(workspace / "pair.dspec"),
+            str(workspace / "ghost.manifest"),
+            "--start", "0", "--end", "10", "--interval", "1",
+            "--delivery", "bogus",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad --delivery value 'bogus'" in err
+    assert "ghost.manifest" not in err
+
+
 def test_replay_reorder_seed_drives_delivery(workspace, capsys):
     # the seed is the SEED of reorder:N:SEED; there is no separate flag
     runs = {}

@@ -544,3 +544,65 @@ def test_smove_appends_step_rows_narrowed_against_memory():
                 for t, row in enc.entries.items():
                     for _, e in row:
                         assert not any(a in memory for a in expr.atoms(expr.stamp(e, t)))
+
+
+def _twin(monitor):
+    """The same automaton as a fresh monitor, with tables of its own."""
+    return synthesis.MooreMonitor(monitor.alphabet, monitor.initial, monitor.delta, monitor.labels)
+
+
+def _assert_narrow_entries_exact(monitor):
+    """Every narrow-table entry is a fresh ``seval`` of its key's row under
+    its key's values, with the same rewrite count and count changes."""
+    for (row, known, values), narrowed in monitor._narrows.items():
+        atoms = sorted({a for _, e in row for a in expr.atoms(e)})
+        assert known and known < 1 << len(atoms) and not values & ~known
+        m = Memory()
+        for i, a in enumerate(atoms):
+            if known >> i & 1:
+                m.store(a, bool(values >> i & 1))
+        stats = expr.SimplifyStats()
+        pairs = tuple((q, seval(e, m, stats)) for q, e in row)
+        pairs = tuple((q, e) for q, e in pairs if e is not expr.BFALSE)
+        assert narrowed.row == pairs != row
+        assert narrowed.rewrites == stats.simplifications
+        assert narrowed.d_entries == len(pairs) - len(row)
+        assert narrowed.d_size == sum(e.size for _, e in pairs) - sum(e.size for _, e in row)
+
+
+def test_narrow_table_cleared_at_random_matches_kept_table():
+    rng = random.Random(43)
+    stored = 0
+    for _ in range(40):
+        monitor = _twin(
+            synthesis.build(random_formula(rng, ["a", "b", "c"], rng.randint(1, 4)))
+        )
+        cleared = _twin(monitor)
+        memory = Memory()
+        stats_kept, stats_cleared = expr.SimplifyStats(), expr.SimplifyStats()
+        kept = EHE(monitor, 0, memory, stats_kept)
+        other = EHE(cleared, 0, memory, stats_cleared)
+        for op, args in _smove_resolve_trace(rng, monitor, ahead=3):
+            if rng.random() < 0.15:
+                cleared._narrows.clear()
+            if rng.random() < 0.1:
+                cleared._row_atoms.clear()
+            if rng.random() < 0.1:
+                cleared._steps.clear()
+            if op == "store":
+                memory.store(*args)
+            elif op == "gc":
+                memory.gc(*args)
+            elif op == "smove":
+                kept.smove(*args)
+                other.smove(*args)
+            else:
+                assert kept.resolve() == other.resolve()
+            assert kept.entries == other.entries
+            assert kept.n_entries == other.n_entries
+            assert kept.total_size == other.total_size
+            assert stats_kept.simplifications == stats_cleared.simplifications
+        stored += len(monitor._narrows)
+        _assert_narrow_entries_exact(monitor)
+        _assert_narrow_entries_exact(cleared)
+    assert stored  # the traces narrow rows through the table

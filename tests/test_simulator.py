@@ -317,14 +317,18 @@ def _full_sweep():
 
 
 def _held_by_monitors():
-    """ids of the nodes that the cached monitors' guard templates and step
-    tables reach, through children and pass memos."""
+    """ids of the nodes that the cached monitors' guard templates, step
+    tables and narrow tables reach, through children and pass memos."""
     stack = []
     for monitor in synthesis._build_cache.values():
         for edges in monitor._templates or ():
             stack.extend(edges.values())
         for (prev, _, _), step in monitor._steps.items():
             stack.extend(e for _, e in prev + step.row)
+        for (row, _, _), step in monitor._narrows.items():
+            stack.extend(e for _, e in row + step.row)
+        for row in monitor._row_atoms:
+            stack.extend(e for _, e in row)
     held = {}
     while stack:
         node = stack.pop()
@@ -350,7 +354,8 @@ def test_replay_leaves_intern_table_at_live_size():
     props = sorted(set().union(*(reg.own_props(l) for l in reg.monitors)))
     rng = random.Random(7)
     # the first replay fills the guard templates of the cached monitors;
-    # what their step tables hold stays by design, so it is not counted
+    # what their step and narrow tables hold stays by design, so it is not
+    # counted
     run_simulation(reg, random_trace(rng, props, 40))
     gc.collect()
     before = _unheld_interned()
