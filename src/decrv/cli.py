@@ -221,7 +221,11 @@ def _read_verdicts_csv(path: str) -> dict[str, dict[int, Verdict]]:
             fields = line.split(",")
             if len(fields) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 columns")
-            out.setdefault(fields[1], {})[int(fields[0])] = Verdict(fields[2])
+            try:
+                t, verdict = int(fields[0]), Verdict(fields[2])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            out.setdefault(fields[1], {})[t] = verdict
     return out
 
 

@@ -16,25 +16,28 @@ Frames: row t is stored in its own time frame, as ``(q, stamp(e, -t))``
 pairs in q order, so its atoms carry times relative to t; ``expr_at`` and
 ``dump`` stamp it back.  Expanding narrowed row t-1 to row t depends only
 on row t-1 in its frame and on what the memory knows of round t-1, so the
-monitor keeps one step table for every row of every instance, keyed by
-``(prev, known, values)``: bitmasks over ``monitor.alphabet`` of the
-round-(t-1) atoms in memory and of those that are true.  An entry holds
-row t in frame t, which the encoding stores as is, with its rewrite count
-and node count; a certain predecessor is just the key ``((p, true),)``.  A
-miss builds in frame t-1, where the guard templates sit at time 0:
-substitute the known atoms into the guards, ``band`` each with its
-predecessor entry, simplify per successor and stamp by -1.  A hit does no
-``stamp``, ``band`` or ``simplify``.
+encoding keeps one step table for every row of every instance it runs,
+keyed by ``(prev, known, values)``: bitmasks over ``monitor.alphabet`` of
+the round-(t-1) atoms in memory and of those that are true.  An entry
+holds row t in frame t, which the encoding stores as is; a certain
+predecessor is just the key ``((p, true),)``.  A miss builds in frame
+t-1, where the guard templates sit at time 0: substitute the known atoms
+into the guards, ``band`` each with its predecessor entry, simplify per
+successor and stamp by -1.  A hit does no ``stamp``, ``band`` or
+``simplify``.
 
 Narrowing row t is a lookup too.  What it narrows to depends only on the
 row in its frame and on what the memory holds for the row's atoms, so the
-monitor keeps one narrow table, keyed by ``(row, known, values)``:
-bitmasks over the row's sorted atoms (``monitor._row_atoms[row]``, worked
-out once per row) of those the memory holds at ``a.time + t`` and of
-those that are true.  An entry holds the narrowed row, its rewrite count
-and what it adds to the encoding's entry and node counts.  A row none of
-whose atoms is known is left as it is; a miss substitutes the known atoms
-and simplifies each entry that takes one in (``_narrow``).
+encoding keeps one narrow table, keyed by ``(row, known, values)``:
+bitmasks over the row's sorted atoms (``_row_atoms[row]``, worked out once
+per row) of those the memory holds at ``a.time + t`` and of those that
+are true.  A row none of whose atoms is known is left as it is; a miss
+substitutes the known atoms and simplifies each entry that takes one in
+(``_narrow``).  Entries of both tables are ``_Entry``s: the row a key
+leads to, its rewrite count and what it adds to the encoding's entry and
+node counts, applied the same way by ``smove`` and ``resolve``.  The
+tables belong to one node's encoding for one run: ``respawn`` starts the
+next instance over the same memory and keeps them.
 
 Why a frame-relative row is exact: ``simplify`` and ``substitute_atoms``
 compare nodes by identity only, so renaming atoms one-to-one, as stamping
@@ -107,17 +110,20 @@ def sadvs(cond: Trigger, memory: Memory, t_cur: int, t_max: int) -> set[int]:
     return {t for t in range(t_cur + 1, t_max + 1) if sadv(cond, memory, t)}
 
 
-class _Step:
-    """A ``monitor._steps`` entry: the row that one predecessor row expands
-    to under one round's masks, in its own frame, as ``(q, expression)``
-    pairs, with its rewrite count and node count."""
+class _Entry:
+    """A step-table or narrow-table entry: the row one key leads to, in its
+    own frame, as ``(q, expression)`` pairs, with its rewrite count and
+    what it adds to the encoding's entry and node counts."""
 
-    __slots__ = ("row", "rewrites", "size")
+    __slots__ = ("row", "rewrites", "d_entries", "d_size")
 
-    def __init__(self, row: tuple[tuple[int, BoolExpr], ...], rewrites: int) -> None:
+    def __init__(
+        self, row: tuple[tuple[int, BoolExpr], ...], rewrites: int, d_entries: int, d_size: int
+    ) -> None:
         self.row = row
         self.rewrites = rewrites
-        self.size = sum(e.size for _, e in row)
+        self.d_entries = d_entries
+        self.d_size = d_size
 
 
 def _build(
@@ -125,8 +131,9 @@ def _build(
     prev: tuple[tuple[int, BoolExpr], ...],
     known: int,
     values: int,
-) -> _Step:
-    """Expand ``prev`` (row t-1 in frame t-1) under the masks of round t-1."""
+) -> _Entry:
+    """Expand ``prev`` (row t-1 in frame t-1) under the masks of round t-1:
+    a new row adds its length and node count."""
     templates = synthesis.guard_templates(monitor)
     at0 = {
         Atom(0, name): bool(values >> i & 1)
@@ -145,23 +152,7 @@ def _build(
         combined = expr.simplify(expr.disj(terms[q]), stats)
         if combined is not expr.BFALSE:
             row.append((q, expr.stamp(combined, -1)))
-    return _Step(tuple(row), stats.simplifications)
-
-
-class _Narrow:
-    """A ``monitor._narrows`` entry: one row narrowed under one set of
-    values for its atoms, in the row's frame, with its rewrite count and
-    what it adds to the encoding's entry and node counts."""
-
-    __slots__ = ("row", "rewrites", "d_entries", "d_size")
-
-    def __init__(
-        self, row: tuple[tuple[int, BoolExpr], ...], rewrites: int, d_entries: int, d_size: int
-    ) -> None:
-        self.row = row
-        self.rewrites = rewrites
-        self.d_entries = d_entries
-        self.d_size = d_size
+    return _Entry(tuple(row), stats.simplifications, len(row), sum(e.size for _, e in row))
 
 
 def _atoms_of(row: tuple[tuple[int, BoolExpr], ...]) -> tuple[Atom, ...]:
@@ -174,7 +165,7 @@ def _narrow(
     atoms: tuple[Atom, ...],
     known: int,
     values: int,
-) -> _Narrow:
+) -> _Entry:
     """Substitute the known atoms into every entry of ``row`` and simplify
     the entries that take one in; drop those that fold to false."""
     at = {a: bool(values >> i & 1) for i, a in enumerate(atoms) if known >> i & 1}
@@ -196,14 +187,16 @@ def _narrow(
                 d_size += narrowed.size - e.size
                 e = narrowed
         pairs.append((q, e))
-    return _Narrow(tuple(pairs), stats.simplifications, d_entries, d_size)
+    return _Entry(tuple(pairs), stats.simplifications, d_entries, d_size)
 
 
 class EHE:
     """Rows round -> ``((state, BoolExpr), ...)`` for one monitor instance,
     each row in its own frame, narrowed against its own memory.  One
     watermark: every row is narrowed at memory version ``_version``, and
-    rows up to ``_scanned_upto`` have been checked for ``true``."""
+    rows up to ``_scanned_upto`` have been checked for ``true``.  The step
+    and narrow tables outlive the instance: ``respawn`` starts the next
+    one over the same memory."""
 
     __slots__ = (
         "monitor",
@@ -217,6 +210,9 @@ class EHE:
         "_found",
         "_n_entries",
         "_total_size",
+        "_steps",
+        "_narrows",
+        "_row_atoms",
     )
 
     def __init__(
@@ -229,10 +225,17 @@ class EHE:
         self.monitor = monitor
         self.memory = memory
         self.stats = SimplifyStats() if stats is None else stats
+        self._steps: dict[tuple, _Entry] = {}
+        self._narrows: dict[tuple, _Entry] = {}
+        self._row_atoms: dict[tuple, tuple[Atom, ...]] = {}
+        self.respawn(t_origin)
+
+    def respawn(self, t_origin: int) -> None:
+        """Start a fresh instance at t_origin, certain of the initial state."""
         self.t_origin = t_origin
         self.t_last = t_origin
         self.entries: dict[int, tuple[tuple[int, BoolExpr], ...]] = {
-            t_origin: ((monitor.initial, expr.BTRUE),)
+            t_origin: ((self.monitor.initial, expr.BTRUE),)
         }
         self._version: Optional[int] = None
         self._scanned_upto = t_origin - 1
@@ -262,13 +265,13 @@ class EHE:
         guard atoms for step t-1 -> t are those of round t-1.  States whose
         expression folds to false are dropped.  A row built from a narrowed
         predecessor and the known atoms of its round is narrowed too, so
-        the watermark stays where it is.  Rows come from the monitor's step
-        table (see the module docstring)."""
+        the watermark stays where it is.  Rows come from the step table
+        (see the module docstring)."""
         if t_future <= self.t_last:
             return
         self.resolve()
         monitor, memory, entries = self.monitor, self.memory, self.entries
-        steps = monitor._steps
+        steps = self._steps
         for t in range(self.t_last + 1, t_future + 1):
             prev = entries[t - 1]
             known, values = memory.masks(monitor.alphabet, t - 1)
@@ -277,9 +280,9 @@ class EHE:
             if step is None:
                 step = steps[key] = _build(monitor, prev, known, values)
             self.stats.bump(step.rewrites)
+            self._n_entries += step.d_entries
+            self._total_size += step.d_size
             entries[t] = step.row
-            self._n_entries += len(step.row)
-            self._total_size += step.size
         self.t_last = t_future
 
     def resolve(self) -> Optional[tuple[int, int, Verdict]]:
@@ -287,9 +290,8 @@ class EHE:
         memory has changed since the last pass, narrow every row against
         it; otherwise only check the rows not yet scanned for ``true``, so
         a quiescent round costs nothing.  Narrowing a row is a lookup in
-        the monitor's narrow table (see the module docstring).  Rows older
-        than the latest certain round are dropped — the state there is
-        settled."""
+        the narrow table (see the module docstring).  Rows older than the
+        latest certain round are dropped — the state there is settled."""
         memory, entries = self.memory, self.entries
         narrow = self._version != memory.version
         if narrow:
@@ -299,7 +301,7 @@ class EHE:
         else:
             return self._found
         monitor, stats, get = self.monitor, self.stats, memory.get
-        narrows, row_atoms = monitor._narrows, monitor._row_atoms
+        narrows, row_atoms = self._narrows, self._row_atoms
         best = self._found
         for t in times:
             row = entries[t]

@@ -68,9 +68,6 @@ class Memory:
         self._masks[t] = (alphabet, (known, values))
         return known, values
 
-    def at_time(self, t: int) -> frozenset[Atom]:
-        return frozenset(self._by_time.get(t, ()))
-
     def max_time(self) -> Optional[int]:
         return max(self._by_time) if self._by_time else None
 

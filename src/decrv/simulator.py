@@ -2,9 +2,10 @@
 
 Each round: deliver due verdict messages, poll the trace into per-node
 memories, then let every node expand/resolve its encoding.  When a node
-concludes a final verdict for the round it is checking, it reports the
-verdict, notifies dependent monitors, garbage-collects its memory, and
-respawns at the next round.
+concludes a final verdict for the round it is checking, it appends the
+verdict to its log, notifies dependent monitors, garbage-collects its
+memory, and respawns its encoding at the next round.  A node checks
+rounds 0, 1, 2... in order, so its log is a list indexed by round.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 from . import ehe as ehe_mod
 from . import synthesis
 from .ehe import EAGER, EHE, WILDCARD
-from .expr import Atom, SimplifyStats
+from .expr import Atom
 from .memory import Memory
 from .registry import Registry
 from .verdicts import Verdict
@@ -68,7 +69,7 @@ class VerdictRecord:
 @dataclass
 class SimulationReport:
     rounds: int
-    verdicts: dict[str, dict[int, VerdictRecord]]
+    verdicts: dict[str, list[VerdictRecord]]
     messages_per_round: list[int]
     simplifications_per_round: list[int]
     max_ehe_size_per_round: list[int]
@@ -84,11 +85,8 @@ class SimulationReport:
         """Largest total observation-store cardinality across all nodes."""
         return max(self.memory_per_round, default=0)
 
-    def verdict_values(self) -> dict[str, dict[int, Verdict]]:
-        return {
-            label: {t: rec.verdict for t, rec in log.items()}
-            for label, log in self.verdicts.items()
-        }
+    def verdict_values(self) -> dict[str, list[Verdict]]:
+        return {label: [rec.verdict for rec in log] for label, log in self.verdicts.items()}
 
     def measured_steady_rate(self, warmup: int) -> float:
         window = self.messages_per_round[warmup:]
@@ -99,8 +97,7 @@ class SimulationReport:
     def verdicts_csv(self) -> str:
         lines = ["round,label,verdict,delay"]
         for label in sorted(self.verdicts):
-            for t in sorted(self.verdicts[label]):
-                rec = self.verdicts[label][t]
+            for t, rec in enumerate(self.verdicts[label]):
                 lines.append(f"{t},{label},{rec.verdict},{rec.delay}")
         return "\n".join(lines) + "\n"
 
@@ -116,12 +113,7 @@ class SimulationReport:
 
     def summary_txt(self) -> str:
         n = max(self.rounds, 1)
-        finals = sum(
-            1
-            for log in self.verdicts.values()
-            for rec in log.values()
-            if rec.verdict.final
-        )
+        finals = sum(rec.verdict.final for log in self.verdicts.values() for rec in log)
         lines = [
             f"rounds {self.rounds}",
             f"monitors {len(self.verdicts)}",
@@ -140,40 +132,32 @@ class SimulationReport:
         for label in sorted(self.verdicts):
             log = self.verdicts[label]
             start: Optional[int] = None
-            prev: Optional[int] = None
-            for t in sorted(log):
-                if log[t].verdict is Verdict.TRUE:
-                    if start is None or (prev is not None and t != prev + 1):
-                        if start is not None:
-                            lines.append(f"{label}\t{start}\t{prev}")
+            for t, rec in enumerate(log):
+                if rec.verdict is Verdict.TRUE:
+                    if start is None:
                         start = t
-                    prev = t
                 elif start is not None:
-                    lines.append(f"{label}\t{start}\t{prev}")
+                    lines.append(f"{label}\t{start}\t{t - 1}")
                     start = None
             if start is not None:
-                lines.append(f"{label}\t{start}\t{prev}")
+                lines.append(f"{label}\t{start}\t{len(log) - 1}")
         return "\n".join(lines) + "\n"
 
 
 @dataclass
 class _Node:
+    """One monitor for one run: its encoding holds its memory and
+    rewrite count, and ``log[t]`` is its verdict about round t, so it
+    checks round ``len(log)``."""
+
     label: str
-    monitor: synthesis.MooreMonitor
+    ehe: EHE
     own_props: frozenset[str]
     dependents: list[str]
     expansion: object
-    memory: Memory = field(default_factory=Memory)
-    stats: SimplifyStats = field(default_factory=SimplifyStats)
-    t_check: int = 0
     gc_enabled: bool = True
-    ehe: EHE = None  # type: ignore[assignment]
-    log: dict[int, VerdictRecord] = field(default_factory=dict)
+    log: list[VerdictRecord] = field(default_factory=list)
     delivered_now: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.ehe is None:
-            self.ehe = EHE(self.monitor, 0, self.memory, self.stats)
 
 
 @dataclass(frozen=True)
@@ -219,7 +203,7 @@ def run_simulation(
         # 1. deliver verdict messages that are due
         for msg in pending.pop(r, ()):
             node = nodes[msg.receiver]
-            node.memory.store(Atom(msg.timestamp, msg.sender), msg.verdict)
+            node.ehe.memory.store(Atom(msg.timestamp, msg.sender), msg.verdict)
             node.delivered_now.append(msg.timestamp)
 
         # 2. poll the trace into per-node memories
@@ -227,7 +211,7 @@ def run_simulation(
         for label in order:
             node = nodes[label]
             for ap in node.own_props:
-                node.memory.store(Atom(r, ap), event[ap])
+                node.ehe.memory.store(Atom(r, ap), event[ap])
 
         # 3. expand and resolve; conclude/respawn until quiescent
         sent = []
@@ -240,7 +224,7 @@ def run_simulation(
             pending.setdefault(due, []).append(msg)
 
         messages_per_round.append(len(sent))
-        total_simp = sum(node.stats.simplifications for node in nodes.values())
+        total_simp = sum(node.ehe.stats.simplifications for node in nodes.values())
         simplifications_per_round.append(total_simp - prev_simplifications)
         prev_simplifications = total_simp
         max_size_per_round.append(
@@ -249,13 +233,14 @@ def run_simulation(
         max_entries_per_round.append(
             max((node.ehe.n_entries for node in nodes.values()), default=0)
         )
-        memory_per_round.append(sum(len(node.memory) for node in nodes.values()))
+        memory_per_round.append(sum(len(node.ehe.memory) for node in nodes.values()))
 
     # trace end: unresolved rounds stay UNKNOWN, flagged truncated
     for label in order:
-        node = nodes[label]
-        for t in range(node.t_check, n):
-            node.log[t] = VerdictRecord(Verdict.UNKNOWN, n - 1 - t, truncated=True)
+        log = nodes[label].log
+        log.extend(
+            VerdictRecord(Verdict.UNKNOWN, n - 1 - t, truncated=True) for t in range(len(log), n)
+        )
 
     return SimulationReport(
         rounds=n,
@@ -276,7 +261,7 @@ def _make_nodes(registry: Registry, options: SimulationOptions) -> dict[str, _No
             expansion = EAGER
         nodes[label] = _Node(
             label=label,
-            monitor=synthesis.build(decl.formula, options.max_states),
+            ehe=EHE(synthesis.build(decl.formula, options.max_states), 0, Memory()),
             own_props=registry.own_props(label),
             dependents=registry.dependents(label),
             expansion=expansion,
@@ -293,12 +278,12 @@ def _expansion_target(node: _Node, r: int) -> Optional[int]:
         if not node.delivered_now:
             return None
         return max(node.delivered_now) + 1
-    t_max = node.memory.max_time()
+    t_max = node.ehe.memory.max_time()
     if t_max is None:
         return None
     # matches at t_last itself still matter: concluding round t needs the
     # encoding expanded to t + 1
-    hits = ehe_mod.sadvs(node.expansion, node.memory, node.ehe.t_last - 1, t_max)
+    hits = ehe_mod.sadvs(node.expansion, node.ehe.memory, node.ehe.t_last - 1, t_max)
     if not hits:
         return None
     return max(hits) + 1
@@ -316,19 +301,18 @@ def _step_node(
         if found is None:
             break
         _, _, verdict = found
-        if not verdict.final or node.t_check > r:
+        t = len(node.log)
+        if not verdict.final or t > r:
             break
-        t = node.t_check
         record = records.get((verdict, r - t))
         if record is None:
             record = records[verdict, r - t] = VerdictRecord(verdict, r - t)
-        node.log[t] = record
+        node.log.append(record)
         for dep in node.dependents:
             out.append(Message(node.label, dep, t, verdict is Verdict.TRUE, r))
         if node.gc_enabled:
-            node.memory.gc(t)
-        node.t_check = t + 1
-        node.ehe = EHE(node.monitor, node.t_check, node.memory, node.stats)
+            node.ehe.memory.gc(t)
+        node.ehe.respawn(t + 1)
     node.delivered_now.clear()
     return out
 

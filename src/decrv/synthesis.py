@@ -33,26 +33,10 @@ class MooreMonitor:
     """Complete deterministic Moore automaton labeled with verdicts.
 
     ``_templates`` holds the guard templates once ``guard_templates`` has
-    built them, and ``_steps`` the EHE step table as ``ehe`` fills it, keyed
-    by ``(prev, known, values)``: row t-1's ``(state, expression)`` pairs
-    in its own time frame, and bitmasks over ``alphabet`` of the round-(t-1)
-    atoms that are in memory and of those that are true.  ``_narrows`` is
-    the EHE narrow table, keyed by ``(row, known, values)``: a row in its
-    own frame and bitmasks over its sorted atoms, ``_row_atoms[row]``, of
-    those the memory holds and of those that are true.  All of them live
-    on the monitor so they die with it.
+    built them.
     """
 
-    __slots__ = (
-        "alphabet",
-        "initial",
-        "delta",
-        "labels",
-        "_templates",
-        "_steps",
-        "_narrows",
-        "_row_atoms",
-    )
+    __slots__ = ("alphabet", "initial", "delta", "labels", "_templates")
 
     def __init__(
         self,
@@ -66,9 +50,6 @@ class MooreMonitor:
         self.delta = delta
         self.labels = labels
         self._templates: Optional[list[dict[int, expr.BoolExpr]]] = None
-        self._steps: dict[tuple, object] = {}
-        self._narrows: dict[tuple, object] = {}
-        self._row_atoms: dict[tuple, tuple[expr.Atom, ...]] = {}
 
     @property
     def n_states(self) -> int:

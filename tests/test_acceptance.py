@@ -40,7 +40,7 @@ def test_criterion_1_oracle_equivalence_1000_scenarios():
         report = run_simulation(reg, trace, options)
         for label in reg.monitors:
             inlined = reg.inline(label)
-            for t, rec in report.verdicts[label].items():
+            for t, rec in enumerate(report.verdicts[label]):
                 if not rec.verdict.final:
                     continue
                 expected = oracle.evaluate3(inlined, trace, t)

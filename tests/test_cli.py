@@ -314,6 +314,15 @@ def test_eval_bad_annotations_exit_code(workspace, tmp_path):
     assert main(["eval", str(out / "verdicts.csv"), str(workspace / "bad.csv")]) == 1
 
 
+@pytest.mark.parametrize("row", ["1,light,MAYBE,0", "one,light,TRUE,0"])
+def test_eval_bad_verdict_row_reports_location(tmp_path, capsys, row):
+    verdicts = tmp_path / "verdicts.csv"
+    verdicts.write_text(f"round,label,verdict,delay\n0,light,TRUE,0\n{row}\n")
+    (tmp_path / "ann.csv").write_text("light,0,1\n")
+    assert main(["eval", str(verdicts), str(tmp_path / "ann.csv")]) == 1
+    assert f"{verdicts}:3: " in capsys.readouterr().err
+
+
 def test_eval_missing_file_exit_code(tmp_path):
     assert main(["eval", str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")]) == 1
 

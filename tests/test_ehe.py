@@ -90,6 +90,38 @@ def test_encodings_on_memories_of_equal_version_do_not_alias():
         assert fresh.entries == e.entries
 
 
+def test_respawn_matches_fresh_encoding():
+    # a respawned instance keeps its tables and nothing else
+    rng = random.Random(47)
+    for _ in range(30):
+        monitor = synthesis.build(random_formula(rng, ["a", "b", "c"], rng.randint(1, 4)))
+        memory = Memory()
+        stats_old, stats_new = expr.SimplifyStats(), expr.SimplifyStats()
+        old = EHE(monitor, 0, memory, stats_old)
+        new = None
+        for op, args in _smove_resolve_trace(rng, monitor):
+            if op == "store":
+                memory.store(*args)
+            elif op == "gc":
+                memory.gc(*args)
+            elif new is None and op == "smove":
+                old.smove(*args)
+            elif new is None:
+                old.resolve()
+                t = old.t_last + 1
+                old.respawn(t)
+                new = EHE(monitor, t, memory, stats_new)
+                work = stats_old.simplifications
+            else:
+                for enc in (old, new):
+                    getattr(enc, op)(*args)
+                assert old.entries == new.entries
+                assert (old.t_origin, old.t_last) == (new.t_origin, new.t_last)
+                assert (old.n_entries, old.total_size) == (new.n_entries, new.total_size)
+                assert old.resolve() == new.resolve()
+                assert stats_old.simplifications - work == stats_new.simplifications
+
+
 def test_resolve_nothing_on_empty_memory():
     e = EHE(fig2a(), 0, Memory())
     e.smove(3)
@@ -212,14 +244,14 @@ def _symbolic_row(monitor, prev, t, memory):
     return row, stats.simplifications
 
 
-def _step_matches_symbolic(monitor, prev, t, memory):
-    """smove narrows ``prev`` (row t-1, a dict in disjunct order), then
-    expands it to round t."""
-    stats = expr.SimplifyStats()
-    enc = EHE(monitor, t - 1, memory, stats)
+def _step_matches_symbolic(enc, prev, t):
+    """In an instance respawned at t-1 with row ``prev`` (a dict in
+    disjunct order), smove narrows the row, then expands it to round t."""
+    monitor, memory, stats = enc.monitor, enc.memory, enc.stats
+    enc.respawn(t - 1)
     # rows are stored in their own frame
     enc.entries[t - 1] = tuple((p, expr.stamp(e, -(t - 1))) for p, e in prev.items())
-    n0, size0 = enc.n_entries, enc.total_size
+    n0, size0, work0 = enc.n_entries, enc.total_size, stats.simplifications
     enc.smove(t)
     ref_stats = expr.SimplifyStats()
     narrowed = {p: seval(e, memory, ref_stats) for p, e in prev.items()}
@@ -227,18 +259,18 @@ def _step_matches_symbolic(monitor, prev, t, memory):
     row, work = _symbolic_row(monitor, narrowed, t, memory)
     assert [q for q, _ in enc.entries[t]] == sorted(row)
     assert {q: enc.expr_at(t, q) for q, _ in enc.entries[t]} == row
-    assert stats.simplifications == ref_stats.simplifications + work
+    assert stats.simplifications - work0 == ref_stats.simplifications + work
     # the narrowing pass replaced prev's entries by their narrowed forms
     size = lambda r: sum(e.size for e in r.values())
     assert enc.n_entries - n0 == len(row) + len(narrowed) - len(prev)
     assert enc.total_size - size0 == size(row) + size(narrowed) - size(prev)
 
 
-def _full_memory(rng, monitor, t):
-    m = Memory()
+def _full_round(rng, memory, monitor, t):
+    """``memory`` with every atom of round t stored at random."""
     for name in monitor.alphabet:
-        m.store(Atom(t, name), rng.random() < 0.5)
-    return m
+        memory.store(Atom(t, name), rng.random() < 0.5)
+    return memory
 
 
 def test_concrete_step_matches_symbolic_recipe():
@@ -249,30 +281,30 @@ def test_concrete_step_matches_symbolic_recipe():
         if m.n_states > 1:
             monitors.append(m)
     for monitor in monitors:
-        monitor._steps.clear()
+        # one encoding over one memory; each case reads its own round
+        enc = EHE(monitor, 0, Memory())
         cases = []
-        for _ in range(40):
-            t = rng.randint(1, 6)
-            p = rng.randrange(monitor.n_states)
-            cases.append((p, t, _full_memory(rng, monitor, t - 1)))
-        for p, t, memory in cases:  # cold table
-            _step_matches_symbolic(monitor, {p: expr.BTRUE}, t, memory)
-        filled = dict(monitor._steps)
+        for i in range(40):
+            t = i + 1
+            _full_round(rng, enc.memory, monitor, t - 1)
+            cases.append((rng.randrange(monitor.n_states), t))
+        for p, t in cases:  # cold table
+            _step_matches_symbolic(enc, {p: expr.BTRUE}, t)
+        filled = dict(enc._steps)
         assert filled
-        for p, t, memory in cases:  # warm table
-            _step_matches_symbolic(monitor, {p: expr.BTRUE}, t, memory)
-        assert monitor._steps == filled
+        for p, t in cases:  # warm table
+            _step_matches_symbolic(enc, {p: expr.BTRUE}, t)
+        assert enc._steps == filled
 
 
 def test_concrete_step_from_round_zero():
     # stamping at round 0 is the identity, the table's own time base
     rng = random.Random(5)
     monitor = fig2a()
-    monitor._steps.clear()
     for _ in range(8):
-        memory = _full_memory(rng, monitor, 0)
-        _step_matches_symbolic(monitor, {monitor.initial: expr.BTRUE}, 1, memory)
-    assert monitor._steps
+        enc = EHE(monitor, 0, _full_round(rng, Memory(), monitor, 0))
+        _step_matches_symbolic(enc, {monitor.initial: expr.BTRUE}, 1)
+        assert enc._steps
 
 
 def test_step_with_missing_atom_stays_symbolic():
@@ -288,9 +320,10 @@ def test_step_with_missing_atom_stays_symbolic():
             if name != dropped:
                 memory.store(Atom(t - 1, name), rng.random() < 0.5)
         p = rng.randrange(monitor.n_states)
-        _step_matches_symbolic(monitor, {p: expr.BTRUE}, t, memory)
+        enc = EHE(monitor, 0, memory)
+        _step_matches_symbolic(enc, {p: expr.BTRUE}, t)
         # a partly observed round has its own key in the one step table
-        step = monitor._steps[(((p, expr.BTRUE),), *memory.masks(monitor.alphabet, t - 1))]
+        step = enc._steps[(((p, expr.BTRUE),), *memory.masks(monitor.alphabet, t - 1))]
         assert step.row is not None
 
 
@@ -305,7 +338,7 @@ def test_multi_entry_row_stays_symbolic():
         # the first entry is true: only the row's size rules out a lookup
         unknown = expr.batom(Atom(t - 2, "z"))
         prev = {p1: expr.BTRUE, p2: rng.choice([unknown, expr.bnot(unknown)])}
-        _step_matches_symbolic(monitor, prev, t, _full_memory(rng, monitor, t - 1))
+        _step_matches_symbolic(EHE(monitor, 0, _full_round(rng, Memory(), monitor, t - 1)), prev, t)
 
 
 def _random_entry(rng, names, t):
@@ -325,12 +358,13 @@ def test_partial_step_table_matches_symbolic():
         if m.n_states > 1:
             monitors.append(m)
     for monitor in monitors:
-        monitor._steps.clear()
+        # one encoding over one memory; each case reads its own two rounds
+        enc = EHE(monitor, 0, Memory())
+        memory = enc.memory
         names = list(monitor.alphabet) + ["z"]
         cases = []
-        for _ in range(40):
-            t = rng.randint(2, 6)
-            memory = Memory()
+        for i in range(40):
+            t = 2 * i + 2
             for name in monitor.alphabet:  # a random part of round t-1
                 if rng.random() < 0.5:
                     memory.store(Atom(t - 1, name), rng.random() < 0.5)
@@ -343,14 +377,14 @@ def test_partial_step_table_matches_symbolic():
                 for name in names:
                     if rng.random() < 0.4:
                         memory.store(Atom(t - 2, name), rng.random() < 0.5)
-            cases.append((prev, t, memory))
-        for prev, t, memory in cases:  # cold table
-            _step_matches_symbolic(monitor, prev, t, memory)
-        filled = dict(monitor._steps)
+            cases.append((prev, t))
+        for prev, t in cases:  # cold table
+            _step_matches_symbolic(enc, prev, t)
+        filled = dict(enc._steps)
         assert any(known for _, known, _ in filled)
-        for prev, t, memory in cases:  # warm table
-            _step_matches_symbolic(monitor, prev, t, memory)
-        assert monitor._steps == filled
+        for prev, t in cases:  # warm table
+            _step_matches_symbolic(enc, prev, t)
+        assert enc._steps == filled
 
 
 def _smove_resolve_trace(rng, monitor, ahead=2):
@@ -540,21 +574,16 @@ def test_smove_appends_step_rows_narrowed_against_memory():
                 # each new row is the step table's own row for its key
                 for t in range(t_last + 1, enc.t_last + 1):
                     key = (enc.entries[t - 1], *memory.masks(monitor.alphabet, t - 1))
-                    assert enc.entries[t] is monitor._steps[key].row
+                    assert enc.entries[t] is enc._steps[key].row
                 for t, row in enc.entries.items():
                     for _, e in row:
                         assert not any(a in memory for a in expr.atoms(expr.stamp(e, t)))
 
 
-def _twin(monitor):
-    """The same automaton as a fresh monitor, with tables of its own."""
-    return synthesis.MooreMonitor(monitor.alphabet, monitor.initial, monitor.delta, monitor.labels)
-
-
-def _assert_narrow_entries_exact(monitor):
+def _assert_narrow_entries_exact(enc):
     """Every narrow-table entry is a fresh ``seval`` of its key's row under
     its key's values, with the same rewrite count and count changes."""
-    for (row, known, values), narrowed in monitor._narrows.items():
+    for (row, known, values), narrowed in enc._narrows.items():
         atoms = sorted({a for _, e in row for a in expr.atoms(e)})
         assert known and known < 1 << len(atoms) and not values & ~known
         m = Memory()
@@ -574,14 +603,11 @@ def test_narrow_table_cleared_at_random_matches_kept_table():
     rng = random.Random(43)
     stored = 0
     for _ in range(40):
-        monitor = _twin(
-            synthesis.build(random_formula(rng, ["a", "b", "c"], rng.randint(1, 4)))
-        )
-        cleared = _twin(monitor)
+        monitor = synthesis.build(random_formula(rng, ["a", "b", "c"], rng.randint(1, 4)))
         memory = Memory()
         stats_kept, stats_cleared = expr.SimplifyStats(), expr.SimplifyStats()
         kept = EHE(monitor, 0, memory, stats_kept)
-        other = EHE(cleared, 0, memory, stats_cleared)
+        cleared = EHE(monitor, 0, memory, stats_cleared)
         for op, args in _smove_resolve_trace(rng, monitor, ahead=3):
             if rng.random() < 0.15:
                 cleared._narrows.clear()
@@ -595,14 +621,14 @@ def test_narrow_table_cleared_at_random_matches_kept_table():
                 memory.gc(*args)
             elif op == "smove":
                 kept.smove(*args)
-                other.smove(*args)
+                cleared.smove(*args)
             else:
-                assert kept.resolve() == other.resolve()
-            assert kept.entries == other.entries
-            assert kept.n_entries == other.n_entries
-            assert kept.total_size == other.total_size
+                assert kept.resolve() == cleared.resolve()
+            assert kept.entries == cleared.entries
+            assert kept.n_entries == cleared.n_entries
+            assert kept.total_size == cleared.total_size
             assert stats_kept.simplifications == stats_cleared.simplifications
-        stored += len(monitor._narrows)
-        _assert_narrow_entries_exact(monitor)
+        stored += len(kept._narrows)
+        _assert_narrow_entries_exact(kept)
         _assert_narrow_entries_exact(cleared)
     assert stored  # the traces narrow rows through the table

@@ -36,8 +36,8 @@ def test_timestamp_index():
     m.store(Atom(3, "a"), True)
     m.store(Atom(3, "b"), False)
     m.store(Atom(5, "b"), False)
-    assert m.at_time(3) == {Atom(3, "a"), Atom(3, "b")}
-    assert m.at_time(4) == frozenset()
+    assert m.dump() == "3,a,TRUE\n3,b,FALSE\n5,b,FALSE"
+    assert Atom(4, "a") not in m and Atom(4, "b") not in m
     assert m.max_time() == 5
     assert Memory().max_time() is None
 
@@ -49,7 +49,7 @@ def test_gc_removes_at_or_before():
     m.gc(4)
     assert m.get(Atom(3, "a")) is None
     assert m.get(Atom(5, "b")) is False
-    assert m.at_time(3) == frozenset()
+    assert m.dump() == "5,b,FALSE"
 
 
 def test_gc_boundary_inclusive():

@@ -51,18 +51,49 @@ def test_final_verdicts_match_oracle_on_inlined_formula():
         trace = random_trace(rng, ["s", "l"], 8)
         report = run_simulation(PAIR, trace)
         for label in PAIR.monitors:
+            assert len(report.verdicts[label]) == report.rounds
             inlined = PAIR.inline(label)
-            for t, rec in report.verdicts[label].items():
+            for t, rec in enumerate(report.verdicts[label]):
                 if rec.verdict.final:
                     assert rec.verdict is oracle.evaluate3(inlined, trace, t), (
                         label, t, trace,
                     )
 
 
+def test_verdict_log_has_one_record_per_round():
+    # a node concludes rounds in order and the trace end fills in the rest
+    rng = random.Random(4)
+    for reg, props in ((PAIR, ["s", "l"]), (LAZY, ["a", "b"])):
+        for n in (0, 1, 9):
+            for delivery in (DeliveryPolicy(), DeliveryPolicy("reorder", 3)):
+                trace = random_trace(rng, props, n)
+                report = run_simulation(reg, trace, SimulationOptions(delivery=delivery))
+                assert report.rounds == n
+                for label in reg.monitors:
+                    assert len(report.verdicts[label]) == report.rounds
+
+
+def test_one_encoding_per_node_per_run(monkeypatch):
+    # a node respawns its one encoding, keeping its step and narrow tables
+    built = []
+
+    class CountedEHE(simulator.EHE):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(simulator, "EHE", CountedEHE)
+    report = run_simulation(PAIR, _violating_trace(6))
+    assert not report.verdicts["light"][5].truncated  # light concluded every round
+    assert len(built) == len(PAIR.monitors)
+
+
 def test_zero_length_trace():
     report = run_simulation(PAIR, [])
     assert report.rounds == 0
-    assert report.verdicts == {"light": {}, "sc_light": {}}
+    assert report.verdicts == {"light": [], "sc_light": []}
     assert report.total_messages == 0
 
 
@@ -95,12 +126,12 @@ def test_delivery_policy_changes_latency_not_verdicts():
         for label in PAIR.monitors:
             got = {
                 t: rec.verdict
-                for t, rec in other.verdicts[label].items()
+                for t, rec in enumerate(other.verdicts[label])
                 if rec.verdict.final
             }
             want = {
                 t: rec.verdict
-                for t, rec in base.verdicts[label].items()
+                for t, rec in enumerate(base.verdicts[label])
                 if t in got
             }
             assert got == want
@@ -229,7 +260,7 @@ monitor m1 @ c0 := a & X m0
         report = run_simulation(reg, trace)
         horizon = reg.horizon("m1")
         depth = reg.depth("m1")
-        for t, rec in report.verdicts["m1"].items():
+        for t, rec in enumerate(report.verdicts["m1"]):
             if not rec.truncated:
                 assert rec.delay <= horizon + depth + 1, (t, rec)
 
@@ -317,18 +348,12 @@ def _full_sweep():
 
 
 def _held_by_monitors():
-    """ids of the nodes that the cached monitors' guard templates, step
-    tables and narrow tables reach, through children and pass memos."""
+    """ids of the nodes that the cached monitors' guard templates reach,
+    through children and pass memos."""
     stack = []
     for monitor in synthesis._build_cache.values():
         for edges in monitor._templates or ():
             stack.extend(edges.values())
-        for (prev, _, _), step in monitor._steps.items():
-            stack.extend(e for _, e in prev + step.row)
-        for (row, _, _), step in monitor._narrows.items():
-            stack.extend(e for _, e in row + step.row)
-        for row in monitor._row_atoms:
-            stack.extend(e for _, e in row)
     held = {}
     while stack:
         node = stack.pop()
@@ -353,9 +378,7 @@ def test_replay_leaves_intern_table_at_live_size():
     reg = registry.bundled("amiqual")
     props = sorted(set().union(*(reg.own_props(l) for l in reg.monitors)))
     rng = random.Random(7)
-    # the first replay fills the guard templates of the cached monitors;
-    # what their step and narrow tables hold stays by design, so it is not
-    # counted
+    # the first replay fills the guard templates of the cached monitors
     run_simulation(reg, random_trace(rng, props, 40))
     gc.collect()
     before = _unheld_interned()
@@ -366,6 +389,20 @@ def test_replay_leaves_intern_table_at_live_size():
     assert _unheld_interned() - before <= 10
     for key, node in list(expr._interned.items()):
         assert _intern_key(node) == key
+
+
+def test_replays_leave_only_guard_templates_interned(fresh_tables):
+    # step and narrow tables belong to one run's encodings and die with it
+    reg = registry.bundled("amiqual")
+    props = sorted(set().union(*(reg.own_props(l) for l in reg.monitors)))
+    rng = random.Random(19)
+    for rounds in (40, 160):
+        run_simulation(reg, random_trace(rng, props, rounds))
+    gc.collect()
+    _full_sweep()
+    held = _held_by_monitors()
+    assert expr._interned
+    assert [node for node in expr._interned.values() if id(node) not in held] == []
 
 
 def _amiqual_reports(reg, trace):
