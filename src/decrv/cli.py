@@ -222,10 +222,15 @@ def _read_verdicts_csv(path: str) -> dict[str, dict[int, Verdict]]:
             if len(fields) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 columns")
             try:
-                t, verdict = int(fields[0]), Verdict(fields[2])
+                t, verdict, delay = int(fields[0]), Verdict(fields[2]), int(fields[3])
+                if delay < 0:
+                    raise ValueError(f"negative delay {delay}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            out.setdefault(fields[1], {})[t] = verdict
+            rounds = out.setdefault(fields[1], {})
+            if t in rounds:
+                raise ValueError(f"{path}:{lineno}: second row for {fields[1]!r} at round {t}")
+            rounds[t] = verdict
     return out
 
 

@@ -17,14 +17,15 @@ pairs in q order, so its atoms carry times relative to t; ``expr_at`` and
 ``dump`` stamp it back.  Expanding narrowed row t-1 to row t depends only
 on row t-1 in its frame and on what the memory knows of round t-1, so the
 encoding keeps one step table for every row of every instance it runs,
-keyed by ``(prev, known, values)``: bitmasks over ``monitor.alphabet`` of
-the round-(t-1) atoms in memory and of those that are true.  An entry
-holds row t in frame t, which the encoding stores as is; a certain
-predecessor is just the key ``((p, true),)``.  A miss builds in frame
-t-1, where the guard templates sit at time 0: substitute the known atoms
-into the guards, ``band`` each with its predecessor entry, simplify per
-successor and stamp by -1.  A hit does no ``stamp``, ``band`` or
-``simplify``.
+keyed by ``(prev, known, values)``: round t-1 as the memory stores it,
+bitmasks over the memory's names (not ``monitor.alphabet``) of the atoms
+it holds and of those that are true.  An entry holds row t in frame t,
+which the encoding stores as is; a certain predecessor is just the key
+``((p, true),)``.  A miss decodes the masks through the memory's names
+and builds in frame t-1, where the guard templates sit at time 0:
+substitute the known atoms into the guards, ``band`` each with its
+predecessor entry, simplify per successor and stamp by -1.  A hit does
+no ``stamp``, ``band`` or ``simplify``.
 
 Narrowing row t is a lookup too.  What it narrows to depends only on the
 row in its frame and on what the memory holds for the row's atoms, so the
@@ -128,16 +129,18 @@ class _Entry:
 
 def _build(
     monitor: synthesis.MooreMonitor,
+    names: dict[str, int],
     prev: tuple[tuple[int, BoolExpr], ...],
     known: int,
     values: int,
 ) -> _Entry:
-    """Expand ``prev`` (row t-1 in frame t-1) under the masks of round t-1:
-    a new row adds its length and node count."""
+    """Expand ``prev`` (row t-1 in frame t-1) under the masks of round t-1,
+    whose bits are those of the memory's ``names``: a new row adds its
+    length and node count."""
     templates = synthesis.guard_templates(monitor)
     at0 = {
         Atom(0, name): bool(values >> i & 1)
-        for i, name in enumerate(monitor.alphabet)
+        for name, i in names.items()
         if known >> i & 1
     }
     terms: dict[int, list[BoolExpr]] = {}
@@ -274,11 +277,11 @@ class EHE:
         steps = self._steps
         for t in range(self.t_last + 1, t_future + 1):
             prev = entries[t - 1]
-            known, values = memory.masks(monitor.alphabet, t - 1)
+            known, values = memory.masks(t - 1)
             key = (prev, known, values)
             step = steps.get(key)
             if step is None:
-                step = steps[key] = _build(monitor, prev, known, values)
+                step = steps[key] = _build(monitor, memory.names, prev, known, values)
             self.stats.bump(step.rewrites)
             self._n_entries += step.d_entries
             self._total_size += step.d_size

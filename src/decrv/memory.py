@@ -1,4 +1,9 @@
-"""Timestamp-indexed observation store with garbage collection."""
+"""Timestamp-indexed observation store with garbage collection.
+
+Each round is stored as the pair of bitmasks the EHE step table is keyed
+by: ``(known, values)`` over the memory's own names, where a name takes
+the next bit the first time it is stored and keeps it for good.
+"""
 
 from __future__ import annotations
 
@@ -22,70 +27,61 @@ class Memory:
     evaluation results against a memory snapshot.
     """
 
-    __slots__ = ("_data", "_by_time", "_masks", "version")
+    __slots__ = ("names", "_rounds", "_len", "version")
 
     def __init__(self) -> None:
-        self._data: dict[Atom, bool] = {}
-        self._by_time: dict[int, set[Atom]] = {}
-        # round -> (alphabet, (known, values)), dropped when the round changes
-        self._masks: dict[int, tuple[tuple[str, ...], tuple[int, int]]] = {}
+        self.names: dict[str, int] = {}  # name -> bit, in bit order
+        self._rounds: dict[int, tuple[int, int]] = {}
+        self._len = 0
         self.version = 0
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._len
 
     def __contains__(self, atom: Atom) -> bool:
-        return atom in self._data
+        return self.get(atom) is not None
 
     def get(self, atom: Atom) -> Optional[bool]:
-        return self._data.get(atom)
+        bit = self.names.get(atom.name)
+        if bit is None:
+            return None
+        known, values = self._rounds.get(atom.time, (0, 0))
+        return bool(values >> bit & 1) if known >> bit & 1 else None
 
     def store(self, atom: Atom, value: bool) -> None:
-        old = self._data.get(atom)
-        if old is not None:
+        mask = 1 << self.names.setdefault(atom.name, len(self.names))
+        known, values = self._rounds.get(atom.time, (0, 0))
+        if known & mask:
+            old = bool(values & mask)
             if old != value:
                 raise ConflictingObservationError(atom, old, value)
             return
-        self._data[atom] = value
-        self._by_time.setdefault(atom.time, set()).add(atom)
-        self._masks.pop(atom.time, None)
+        self._rounds[atom.time] = (known | mask, values | mask if value else values)
+        self._len += 1
         self.version += 1
 
-    def masks(self, alphabet: tuple[str, ...], t: int) -> tuple[int, int]:
-        """(known, values): bit i of ``known`` is set when ``alphabet[i]`` is
+    def masks(self, t: int) -> tuple[int, int]:
+        """(known, values): bit ``names[n]`` of ``known`` is set when n is
         stored for round t, and of ``values`` when it is stored true."""
-        cached = self._masks.get(t)
-        if cached is not None and cached[0] is alphabet:
-            return cached[1]
-        known = values = 0
-        data = self._data
-        for i, name in enumerate(alphabet):
-            value = data.get(Atom(t, name))
-            if value is not None:
-                known |= 1 << i
-                if value:
-                    values |= 1 << i
-        self._masks[t] = (alphabet, (known, values))
-        return known, values
+        return self._rounds.get(t, (0, 0))
 
     def max_time(self) -> Optional[int]:
-        return max(self._by_time) if self._by_time else None
+        return max(self._rounds) if self._rounds else None
 
     def gc(self, t: int) -> None:
         """Drop every atom with timestamp <= t."""
-        stale = [ts for ts in self._by_time if ts <= t]
+        stale = [ts for ts in self._rounds if ts <= t]
         for ts in stale:
-            for atom in self._by_time.pop(ts):
-                del self._data[atom]
-        for ts in [ts for ts in self._masks if ts <= t]:
-            del self._masks[ts]
+            self._len -= self._rounds.pop(ts)[0].bit_count()
         if stale:
             self.version += 1
 
     def dump(self) -> str:
         """One ``t,name,verdict`` line per entry, sorted by (t, name)."""
         lines = [
-            f"{a.time},{a.name},{'TRUE' if v else 'FALSE'}"
-            for a, v in sorted(self._data.items())
+            f"{t},{name},{'TRUE' if values >> bit & 1 else 'FALSE'}"
+            for t, (known, values) in sorted(self._rounds.items())
+            for name, bit in sorted(self.names.items())
+            if known >> bit & 1
         ]
         return "\n".join(lines)

@@ -208,10 +208,15 @@ def run_simulation(
 
         # 2. poll the trace into per-node memories
         event = trace[r]
-        for label in order:
-            node = nodes[label]
-            for ap in node.own_props:
-                node.ehe.memory.store(Atom(r, ap), event[ap])
+        try:
+            for label in order:
+                node = nodes[label]
+                for ap in node.own_props:
+                    node.ehe.memory.store(Atom(r, ap), event[ap])
+        except KeyError:
+            raise SimulationError(
+                f"no trace source for {ap!r} at round {r} (monitor {label!r})"
+            ) from None
 
         # 3. expand and resolve; conclude/respawn until quiescent
         sent = []

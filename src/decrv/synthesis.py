@@ -473,18 +473,14 @@ def minimize(m: MooreMonitor) -> MooreMonitor:
 _build_cache: dict = {}
 
 
-def build(
-    f: ltl.Formula,
-    max_states: Optional[int] = None,
-    timeout: Optional[float] = None,
-) -> MooreMonitor:
+def build(f: ltl.Formula, max_states: Optional[int] = None) -> MooreMonitor:
     """Synthesize + minimize, cached by rendered formula."""
     if max_states is None:
         max_states = DEFAULT_MAX_STATES
     key = (ltl.render(f), max_states)
     got = _build_cache.get(key)
     if got is None:
-        got = minimize(synthesize(f, max_states, timeout))
+        got = minimize(synthesize(f, max_states))
         _build_cache[key] = got
     return got
 

@@ -314,7 +314,16 @@ def test_eval_bad_annotations_exit_code(workspace, tmp_path):
     assert main(["eval", str(out / "verdicts.csv"), str(workspace / "bad.csv")]) == 1
 
 
-@pytest.mark.parametrize("row", ["1,light,MAYBE,0", "one,light,TRUE,0"])
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1,light,MAYBE,0",
+        "one,light,TRUE,0",
+        "0,light,FALSE,0",  # a second row for (light, 0)
+        "1,light,TRUE,zz",
+        "1,light,TRUE,-1",
+    ],
+)
 def test_eval_bad_verdict_row_reports_location(tmp_path, capsys, row):
     verdicts = tmp_path / "verdicts.csv"
     verdicts.write_text(f"round,label,verdict,delay\n0,light,TRUE,0\n{row}\n")

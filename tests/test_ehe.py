@@ -323,7 +323,7 @@ def test_step_with_missing_atom_stays_symbolic():
         enc = EHE(monitor, 0, memory)
         _step_matches_symbolic(enc, {p: expr.BTRUE}, t)
         # a partly observed round has its own key in the one step table
-        step = enc._steps[(((p, expr.BTRUE),), *memory.masks(monitor.alphabet, t - 1))]
+        step = enc._steps[(((p, expr.BTRUE),), *memory.masks(t - 1))]
         assert step.row is not None
 
 
@@ -573,7 +573,7 @@ def test_smove_appends_step_rows_narrowed_against_memory():
                     continue  # nothing to expand, nothing narrowed
                 # each new row is the step table's own row for its key
                 for t in range(t_last + 1, enc.t_last + 1):
-                    key = (enc.entries[t - 1], *memory.masks(monitor.alphabet, t - 1))
+                    key = (enc.entries[t - 1], *memory.masks(t - 1))
                     assert enc.entries[t] is enc._steps[key].row
                 for t, row in enc.entries.items():
                     for _, e in row:

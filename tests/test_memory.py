@@ -1,6 +1,7 @@
-"""Observation store: conflicts, timestamp index, garbage collection."""
+"""Observation store: conflicts, timestamp index, garbage collection, masks."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from decrv.expr import Atom
 from decrv.memory import ConflictingObservationError, Memory
@@ -95,32 +96,84 @@ def test_dump_format():
     assert m.dump() == "3,a,TRUE\n5,b,FALSE"
 
 
-def test_masks_over_alphabet():
+def test_masks_over_names():
     m = Memory()
-    alphabet = ("a", "b", "c")
+    m.store(Atom(3, "c"), False)  # bits go to names in order of first store
     m.store(Atom(3, "a"), True)
-    m.store(Atom(3, "c"), False)
     m.store(Atom(4, "b"), True)
-    assert m.masks(alphabet, 3) == (0b101, 0b001)
-    assert m.masks(alphabet, 4) == (0b010, 0b010)
-    assert m.masks(alphabet, 5) == (0, 0)
-    assert m.masks(("c", "a"), 3) == (0b11, 0b10)
+    assert m.names == {"c": 0, "a": 1, "b": 2}
+    assert m.masks(3) == (0b011, 0b010)
+    assert m.masks(4) == (0b100, 0b100)
+    assert m.masks(5) == (0, 0)
 
 
 def test_masks_follow_store_and_gc():
     m = Memory()
-    alphabet = ("a", "b")
-    assert m.masks(alphabet, 3) == (0, 0)
+    assert m.masks(3) == (0, 0)
     m.store(Atom(3, "b"), True)
-    assert m.masks(alphabet, 3) == (0b10, 0b10)
+    assert m.masks(3) == (0b01, 0b01)
     m.store(Atom(4, "a"), True)  # another round leaves round 3 as it was
-    assert m.masks(alphabet, 3) == (0b10, 0b10)
-    m.store(Atom(3, "a"), False)
-    assert m.masks(alphabet, 3) == (0b11, 0b10)
+    assert m.masks(3) == (0b01, 0b01)
+    assert m.masks(4) == (0b10, 0b10)
+    m.store(Atom(3, "a"), False)  # a late store into round 3
+    assert m.masks(3) == (0b11, 0b01)
     m.store(Atom(3, "a"), False)  # a repeated store changes nothing
-    assert m.masks(alphabet, 3) == (0b11, 0b10)
+    assert m.masks(3) == (0b11, 0b01)
     m.gc(3)
-    assert m.masks(alphabet, 3) == (0, 0)
-    assert m.masks(alphabet, 4) == (0b01, 0b01)
+    assert m.masks(3) == (0, 0)
+    assert m.masks(4) == (0b10, 0b10)
     m.store(Atom(3, "b"), False)  # a round stored again after gc
-    assert m.masks(alphabet, 3) == (0b10, 0)
+    assert m.masks(3) == (0b01, 0)
+    assert m.names == {"b": 0, "a": 1}  # gc keeps every name's bit
+
+
+_ATOMS = st.tuples(st.integers(0, 5), st.sampled_from("abcd")).map(lambda p: Atom(*p))
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("store"), _ATOMS, st.booleans()),
+        st.tuples(st.just("gc"), st.integers(-1, 6)),
+    ),
+    max_size=40,
+)
+
+
+@given(_OPS)
+def test_matches_dict_reference(ops):
+    """Stores, conflicting stores and gc against a plain atom -> bool dict."""
+    m, ref = Memory(), {}
+    for op in ops:
+        version = m.version
+        if op[0] == "store":
+            _, atom, value = op
+            if ref.get(atom, value) != value:
+                with pytest.raises(ConflictingObservationError):
+                    m.store(atom, value)
+                changed = False
+            else:
+                changed = atom not in ref
+                ref[atom] = value
+                m.store(atom, value)
+        else:
+            stale = [a for a in ref if a.time <= op[1]]
+            for a in stale:
+                del ref[a]
+            changed = bool(stale)
+            m.gc(op[1])
+        assert (m.version != version) == changed
+        for t in range(7):
+            for name in "abcd":
+                atom = Atom(t, name)
+                assert m.get(atom) is ref.get(atom)
+                assert (atom in m) == (atom in ref)
+            known, values = m.masks(t)
+            decoded = {
+                Atom(t, name): bool(values >> bit & 1)
+                for name, bit in m.names.items()
+                if known >> bit & 1
+            }
+            assert decoded == {a: v for a, v in ref.items() if a.time == t}
+        assert len(m) == len(ref)
+        assert m.max_time() == max((a.time for a in ref), default=None)
+        assert m.dump() == "\n".join(
+            f"{a.time},{a.name},{'TRUE' if v else 'FALSE'}" for a, v in sorted(ref.items())
+        )

@@ -113,6 +113,13 @@ def test_missing_trace_source_rejected():
         run_simulation(PAIR, [{"s": True}])
 
 
+def test_event_missing_a_source_rejected():
+    trace = _violating_trace(4)
+    trace[2] = {"s": True}
+    with pytest.raises(SimulationError, match=r"'l' at round 2 \(monitor 'light'\)"):
+        run_simulation(PAIR, trace)
+
+
 def test_delivery_policy_changes_latency_not_verdicts():
     trace = _violating_trace(10)
     base = run_simulation(PAIR, trace)
