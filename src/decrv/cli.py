@@ -133,12 +133,14 @@ def cmd_synth(args) -> int:
 
 def _synth_one(name: str, formula: ltl.Formula, args) -> None:
     started = time.monotonic()
-    monitor = synthesis.minimize(
-        synthesis.synthesize(formula, args.max_states, args.timeout)
-    )
+    raw = synthesis.synthesize(formula, args.max_states, args.timeout)
+    monitor = synthesis.minimize(raw)
     elapsed_ms = (time.monotonic() - started) * 1000
     edges = sum(len(e) for e in monitor.edge_events())
-    print(f"{name} states={monitor.n_states} transitions={edges} time_ms={elapsed_ms:.1f}")
+    print(
+        f"{name} states={monitor.n_states} transitions={edges} time_ms={elapsed_ms:.1f}"
+        f" subset_states={raw.n_states}"
+    )
     if args.out:
         with open(os.path.join(args.out, f"{name}.dot"), "w", encoding="utf-8") as f:
             f.write(monitor.to_dot() + "\n")

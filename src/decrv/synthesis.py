@@ -4,8 +4,15 @@ The classical construction: tableau-expand the formula and its negation
 into generalized Büchi automata, degeneralize with a counter, mark each
 automaton state with language nonemptiness (SCC analysis), then run one
 subset construction over the product.  A monitor state is a pair of
-subsets; the verdict is TRUE when the negation side dies, FALSE when the
-positive side dies, UNKNOWN otherwise.
+subsets, held as one int: the positive subset in the low bits, the
+negative one above them.  The verdict is TRUE when the negation side dies,
+FALSE when the positive side dies, UNKNOWN otherwise.
+
+Each good automaton state's successor table is packed into one int with a
+lane of whole 64-bit words per event, so a monitor state's successors
+under every event are its members' packed tables ORed.  The tableau sorts
+obligations and disjuncts by node ``repr``, computed once per node, which
+keeps the automaton's numbering independent of the hash seed.
 
 Events are total truth assignments over the alphabet, encoded as bitmasks
 (bit i set means the i-th alphabet proposition holds).
@@ -13,8 +20,10 @@ Events are total truth assignments over the alphabet, encoded as bitmasks
 
 from __future__ import annotations
 
-import operator
+import struct
+import sys
 import time
+from array import array
 from collections import deque
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -148,8 +157,11 @@ def _nnf(f: ltl.Formula, negated: bool):
     raise TypeError(f"formula must be desugared first: {f!r}")
 
 
-def _expand(obligations: frozenset):
-    """Tableau disjuncts: (now_pos, now_neg, next_obligations, delayed_untils)."""
+def _expand(obligations: frozenset, key):
+    """Tableau disjuncts: (now_pos, now_neg, next_obligations, delayed_untils).
+
+    ``key`` maps a node to its sort key; the disjuncts come sorted by their
+    names and node keys, an order independent of the hash seed."""
     results: set = set()
 
     def go(todo, pos, neg, nxt, delayed):
@@ -186,8 +198,11 @@ def _expand(obligations: frozenset):
                 go((f[2], f[1]) + rest, pos, neg, nxt, delayed)
                 go((f[2],) + rest, pos, neg, nxt | {f}, delayed)
 
-    go(tuple(sorted(obligations, key=repr)), frozenset(), frozenset(), frozenset(), frozenset())
-    return sorted(results, key=repr)
+    go(tuple(sorted(obligations, key=key)), frozenset(), frozenset(), frozenset(), frozenset())
+    return sorted(
+        results,
+        key=lambda d: (sorted(d[0]), sorted(d[1]), sorted(map(key, d[2])), sorted(map(key, d[3]))),
+    )
 
 
 def _untils(node, out: set) -> None:
@@ -217,9 +232,17 @@ class _Buchi:
         budget: int,
         deadline: Optional[float] = None,
     ):
+        reprs: dict = {}  # id(node) -> (repr, node); holding the node keeps its id
+
+        def key(node) -> str:
+            got = reprs.get(id(node))
+            if got is None:
+                got = reprs[id(node)] = (repr(node), node)
+            return got[0]
+
         untils: set = set()
         _untils(root, untils)
-        fairness = sorted(untils, key=repr)
+        fairness = sorted(untils, key=key)
         k = len(fairness)
         index = {name: i for i, name in enumerate(alphabet)}
 
@@ -243,7 +266,7 @@ class _Buchi:
             obligations, counter = state
             disjuncts = expand_cache.get(obligations)
             if disjuncts is None:
-                disjuncts = _expand(obligations)
+                disjuncts = _expand(obligations, key)
                 expand_cache[obligations] = disjuncts
             outs = []
             for pos, neg, nxt, delayed in disjuncts:
@@ -361,15 +384,29 @@ def _sccs(succ: Mapping) -> list[list]:
     return out
 
 
-def _row(tables: list[list[int]], subset: int, n_events: int) -> list[int]:
-    """Per event, the successor subset of ``subset``: its members' tables ORed."""
-    members = [tables[i] for i in range(subset.bit_length()) if subset >> i & 1]
-    if not members:
-        return [0] * n_events
-    row = members[0]
-    for table in members[1:]:
-        row = list(map(operator.or_, row, table))
-    return row
+def _pack(table: list[int], n_bits: int, words: int) -> int:
+    """An event table of ``n_bits``-bit entries as one int: event e's entry
+    in lane e, each lane ``words`` 64-bit words wide.  Entries that fit a
+    word go through an array in bulk, wider ones one by one."""
+    if n_bits > 64:
+        lanes = b"".join([v.to_bytes(8 * words, sys.byteorder) for v in table])
+    else:
+        lanes = array("Q", bytes(8 * words * len(table)))
+        lanes[::words] = array("Q", table)
+    return int.from_bytes(lanes, sys.byteorder)
+
+
+class _Numbering(dict):
+    """Numbers each key at its first lookup; ``order`` lists them by number."""
+
+    def __init__(self):
+        super().__init__()
+        self.order: list = []
+
+    def __missing__(self, key):
+        num = self[key] = len(self.order)
+        self.order.append(key)
+        return num
 
 
 def synthesize(
@@ -395,39 +432,33 @@ def synthesize(
     pos_start, pos_tables = pos_nba.tables(len(alphabet))
     neg_start, neg_tables = neg_nba.tables(len(alphabet))
 
-    # A monitor state is a pair of subsets, each a bitmask of good states.
-    n_events = 1 << len(alphabet)
-    initial = (pos_start, neg_start)
-    numbering = {initial: 0}
-    order = [initial]
+    # Lanes, read back as bytes, key the numbering of monitor states.
+    shift = len(pos_tables)
+    words = max(1, -(-(shift + len(neg_tables)) // 64))
+    packed = [_pack(t, shift, words) for t in pos_tables]
+    packed += [_pack(t, len(neg_tables), words) << shift for t in neg_tables]
+    lane = 8 * words
+    size = lane << len(alphabet)
+    unpack = struct.Struct(f"{lane}s" * (1 << len(alphabet))).unpack
+    pos_mask = (1 << shift) - 1
+    numbering = _Numbering()
+    numbering[(pos_start | neg_start << shift).to_bytes(lane, sys.byteorder)]  # state 0
     delta: list[list[int]] = []
-    queue = deque([initial])
-    while queue:
+    labels = []
+    for key in numbering.order:  # grows as successors are numbered: a BFS
         if deadline is not None and time.monotonic() > deadline:
             raise SynthesisCapacityError("synthesis timed out")
-        pos_set, neg_set = queue.popleft()
-        row = []
-        for nxt in zip(
-            _row(pos_tables, pos_set, n_events), _row(neg_tables, neg_set, n_events)
-        ):
-            num = numbering.get(nxt)
-            if num is None:
-                num = len(order)
-                if num >= limit:
-                    raise SynthesisCapacityError(
-                        f"subset construction exceeded {limit} states"
-                    )
-                numbering[nxt] = num
-                order.append(nxt)
-                queue.append(nxt)
-            row.append(num)
-        delta.append(row)
-
-    labels = []
-    for pos_set, neg_set in order:
-        if not neg_set:
+        state = int.from_bytes(key, sys.byteorder)
+        succ = 0
+        for i in _bits(state):
+            succ |= packed[i]
+        lanes = succ.to_bytes(size, sys.byteorder)
+        delta.append(list(map(numbering.__getitem__, unpack(lanes))))
+        if len(numbering) > limit:
+            raise SynthesisCapacityError(f"subset construction exceeded {limit} states")
+        if not state >> shift:
             labels.append(Verdict.TRUE)
-        elif not pos_set:
+        elif not state & pos_mask:
             labels.append(Verdict.FALSE)
         else:
             labels.append(Verdict.UNKNOWN)
@@ -645,10 +676,18 @@ def _guard_text(e: expr.BoolExpr) -> str:
 
 
 def guard_templates(m: MooreMonitor) -> list[dict[int, expr.BoolExpr]]:
-    """Per state: successor -> guard over time-0 atoms (built once per monitor)."""
+    """Per state: successor -> guard over time-0 atoms (built once per
+    monitor, with one cover per distinct event set)."""
     if m._templates is None:
+        covers: dict[tuple[int, ...], expr.BoolExpr] = {}
+
+        def cover(events: list[int]) -> expr.BoolExpr:
+            key = tuple(events)
+            if key not in covers:
+                covers[key] = guard_expr(m, events)
+            return covers[key]
+
         m._templates = [
-            {dst: guard_expr(m, evs) for dst, evs in edges.items()}
-            for edges in m.edge_events()
+            {dst: cover(evs) for dst, evs in edges.items()} for edges in m.edge_events()
         ]
     return m._templates

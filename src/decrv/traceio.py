@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -93,6 +94,8 @@ class ThresholdKind:
             value = float(raw)
         except ValueError:
             raise SensorDataError(f"{origin}: non-numeric value {raw!r}") from None
+        if not math.isfinite(value):
+            raise SensorDataError(f"{origin}: non-finite value {raw!r}")
         # closed convention: the boundary value counts as "above"
         above = value >= self.threshold
         return above if self.above_is_true else not above
@@ -212,9 +215,9 @@ def _parse_kind(text: str, lineno: int) -> Kind:
         try:
             threshold = float(parts[1])
         except ValueError:
-            raise SensorDataError(
-                f"manifest line {lineno}: bad threshold {parts[1]!r}"
-            ) from None
+            threshold = math.nan  # reported below, with the non-finite ones
+        if not math.isfinite(threshold):
+            raise SensorDataError(f"manifest line {lineno}: bad threshold {parts[1]!r}")
         return ThresholdKind(threshold, parts[2] == "above")
     raise SensorDataError(f"manifest line {lineno}: unknown kind {text!r}")
 

@@ -64,6 +64,12 @@ def test_synth_rooms_decentralized_vs_centralized(capsys):
     assert centralized > decentralized
 
 
+def test_synth_reports_subset_states(capsys):
+    assert main(["synth", "--rooms", "3", "--centralized", "sc_ok"]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("sc_ok states=9 ") and line.endswith(" subset_states=101")
+
+
 def test_synth_bundled(capsys):
     assert main(["synth", "amiqual", "--label", "firehazard"]) == 0
     assert capsys.readouterr().out.startswith("firehazard states=")
@@ -269,6 +275,25 @@ def test_replay_missing_spec_exit_code(workspace):
 def test_replay_bad_window_exit_code(workspace):
     code, _ = _replay(workspace, "badwin", "--interval", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "kind, reading, message",
+    [
+        ("thresh:nan:below", "1.5", "manifest line 1: bad threshold 'nan'"),
+        ("thresh:2:below", "nan", "s.csv: non-finite value 'nan'"),
+    ],
+)
+def test_non_finite_threshold_or_reading_exit_code(workspace, capsys, kind, reading, message):
+    (workspace / "s.csv").write_text(f"0,{reading}\n")
+    (workspace / "sensors.manifest").write_text(
+        f"s, s.csv, {kind}, default=false\nl, l.csv, bool, default=false\n"
+    )
+    assert main(["rates", str(workspace / "sensors.manifest")]) == 1
+    assert message in capsys.readouterr().err
+    code, _ = _replay(workspace, "nonfinite")
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_rates(workspace, capsys):

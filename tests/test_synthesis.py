@@ -1,6 +1,10 @@
 """Monitor synthesis: construction, minimization, oracle equivalence."""
 
+import os
 import random
+import subprocess
+import sys
+from collections import deque
 
 import pytest
 
@@ -170,12 +174,91 @@ def test_centralized_blowup_direction():
 
 @pytest.mark.parametrize(
     "rooms, subset_states, monitor_states",
-    [(1, 8, 3), (2, 27, 5), (3, 101, 9), (4, 393, 17)],
+    [(1, 8, 3), (2, 27, 5), (3, 101, 9), (4, 393, 17), (5, 1553, 33)],
 )
 def test_centralized_sc_ok_state_counts(rooms, subset_states, monitor_states):
     raw = synthesis.synthesize(registry.light_switch_family(rooms).inline("sc_ok"))
     assert raw.n_states == subset_states
     assert synthesis.minimize(raw).n_states == monitor_states
+
+
+def _reference_synthesize(f):
+    """Reference: the subset construction over (pos, neg) pairs of subsets,
+    where a subset's successor under an event is the OR of its members'
+    ``_Buchi.tables`` rows; states numbered by BFS over events."""
+    f = ltl.desugar(f)
+    alphabet = tuple(sorted(ltl.propositions(f)))
+    n_events = 1 << len(alphabet)
+    starts, tables = zip(*(
+        synthesis._Buchi(synthesis._nnf(f, negated), alphabet, 2**20).tables(len(alphabet))
+        for negated in (False, True)
+    ))
+
+    def row(side, subset):
+        out = [0] * n_events
+        for i, table in enumerate(tables[side]):
+            if subset >> i & 1:
+                out = [a | b for a, b in zip(out, table)]
+        return out
+
+    numbering = {starts: 0}
+    order = [starts]
+    queue = deque(order)
+    delta = []
+    while queue:
+        pos, neg = queue.popleft()
+        nums = []
+        for nxt in zip(row(0, pos), row(1, neg)):
+            if nxt not in numbering:
+                numbering[nxt] = len(order)
+                order.append(nxt)
+                queue.append(nxt)
+            nums.append(numbering[nxt])
+        delta.append(nums)
+    labels = [
+        Verdict.TRUE if not neg else Verdict.FALSE if not pos else Verdict.UNKNOWN
+        for pos, neg in order
+    ]
+    return alphabet, delta, labels
+
+
+def test_subset_construction_matches_reference():
+    amiqual = registry.bundled("amiqual")
+    formulas = _corpus(random.Random(18), 60)
+    formulas += [ltl.parse(text) for text in ("true", "false", "X true")]  # one event
+    formulas += [registry.light_switch_family(n).inline("sc_ok") for n in range(1, 5)]
+    # good states per side 32 + 42 and 15 + 88: lanes of two 64-bit words
+    formulas += [amiqual.inline("firehazard"), amiqual.inline("restricttv_office")]
+    # 65 good states in all: one bit more than one word
+    formulas.append(ltl.parse("X F<=0 F (F<=1 G<=1 a & F<=2 G<=3 b)"))
+    for f in formulas:
+        m = synthesis.synthesize(f)
+        assert m.initial == 0
+        assert (m.alphabet, m.delta, m.labels) == _reference_synthesize(f), ltl.render(f)
+
+
+def test_synthesis_independent_of_hash_seed(tmp_path):
+    src = os.path.dirname(os.path.dirname(synthesis.__file__))
+    delta = (
+        "from decrv import registry, synthesis; "
+        "print(synthesis.synthesize(registry.bundled('amiqual').inline('firehazard')).delta)"
+    )
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out_dir = tmp_path / seed
+        subprocess.run(
+            [sys.executable, "-m", "decrv.cli", "synth", "--rooms", "3",
+             "--centralized", "sc_ok", "--out", str(out_dir)],
+            env=env, capture_output=True, check=True,
+        )
+        raw = subprocess.run(
+            [sys.executable, "-c", delta], env=env, capture_output=True, check=True
+        )
+        exports = [(out_dir / name).read_bytes() for name in ("sc_ok.dot", "sc_ok.txt")]
+        outputs.append((exports, raw.stdout))
+    assert outputs[0] == outputs[1]
 
 
 def test_sccs_match_networkx():

@@ -89,9 +89,12 @@ def test_threshold_boundary_counts_as_above():
 
 
 def test_threshold_rejects_non_numeric():
-    p = Periphery("flow", _log((0, "ON")), ThresholdKind(1.0, True))
-    with pytest.raises(SensorDataError):
-        p.poll(0)
+    # a NaN reading compares false both ways, so a "below" sensor would read true
+    for raw in ("ON", "nan", "inf", "-inf"):
+        log = SensorLog((0,), (raw,), "flow.csv")
+        p = Periphery("flow", log, ThresholdKind(1.0, False))
+        with pytest.raises(SensorDataError, match="flow.csv"):
+            p.poll(0)
 
 
 def test_poll_config():
@@ -150,6 +153,8 @@ def test_manifest_custom_bool_tokens(tmp_path):
         "a, f.csv, bool",  # missing default
         "a, f.csv, bool, default=yes",
         "a, f.csv, thresh:x:above, default=true",
+        "a, f.csv, thresh:nan:above, default=true",
+        "a, f.csv, thresh:inf:below, default=true",
         "a, f.csv, thresh:3.0:sideways, default=true",
         "a, f.csv, wat, default=true",
     ],
