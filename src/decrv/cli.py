@@ -153,9 +153,9 @@ def _parse_delivery(text: str) -> tuple[simulator.DeliveryPolicy, int]:
     parts = text.split(":")
     if parts[0] == "immediate" and len(parts) == 1:
         return simulator.DeliveryPolicy("immediate"), 0
-    if parts[0] == "delay" and len(parts) == 2:
+    if parts[0] == "delay" and len(parts) == 2 and int(parts[1]) >= 0:
         return simulator.DeliveryPolicy("delay", int(parts[1])), 0
-    if parts[0] == "reorder" and len(parts) == 3:
+    if parts[0] == "reorder" and len(parts) == 3 and int(parts[1]) >= 0:
         return simulator.DeliveryPolicy("reorder", int(parts[1])), int(parts[2])
     raise ValueError(f"bad --delivery value {text!r}")
 

@@ -9,8 +9,13 @@ Expansion conditions gate *when* the encoding is expanded: eagerly every
 round, on an explicit trigger over received-verdict literals, or on any
 message arrival (wildcard).
 
-Narrow, then expand: ``smove`` first narrows every row against the memory
-(``resolve``), so each row grows from a narrowed predecessor.
+One pass per step: ``smove`` narrows the rows if the memory changed,
+then expands and scans each new row in one loop, so each row grows from a
+narrowed predecessor; ``resolve`` is a step that does not expand.  Exact
+catch-up: the instances respawned after a conclusion in one round walk
+fresh over one memory, so a walk that builds, at a certain round, the row
+object the walk concluded before it built there (its ``Trail``) goes on
+as that walk did, with the same rewrite count and verdict.
 
 Frames: row t is stored in its own time frame, as ``(q, stamp(e, -t))``
 pairs in q order, so its atoms carry times relative to t; ``expr_at`` and
@@ -49,7 +54,7 @@ building every row symbolically at absolute times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import expr, synthesis
@@ -97,7 +102,7 @@ def sadv(cond: Trigger, memory: Memory, t: int) -> bool:
     """Does the condition hold for the verdicts stored at round t?"""
     match cond:
         case TriggerLit(label, want):
-            got = memory.get(Atom(t, label))
+            got = memory.get_at(t, label)
             return got is not None and got == want
         case TriggerAnd(a, b):
             return sadv(a, memory, t) and sadv(b, memory, t)
@@ -113,10 +118,11 @@ def sadvs(cond: Trigger, memory: Memory, t_cur: int, t_max: int) -> set[int]:
 
 class _Entry:
     """A step-table or narrow-table entry: the row one key leads to, in its
-    own frame, as ``(q, expression)`` pairs, with its rewrite count and
-    what it adds to the encoding's entry and node counts."""
+    own frame, as ``(q, expression)`` pairs, with its rewrite count, what
+    it adds to the encoding's entry and node counts, and the state whose
+    entry is true, if any."""
 
-    __slots__ = ("row", "rewrites", "d_entries", "d_size")
+    __slots__ = ("row", "rewrites", "d_entries", "d_size", "certain")
 
     def __init__(
         self, row: tuple[tuple[int, BoolExpr], ...], rewrites: int, d_entries: int, d_size: int
@@ -125,6 +131,7 @@ class _Entry:
         self.rewrites = rewrites
         self.d_entries = d_entries
         self.d_size = d_size
+        self.certain = next((q for q, e in row if e is expr.BTRUE), None)
 
 
 def _build(
@@ -193,13 +200,27 @@ def _narrow(
     return _Entry(tuple(pairs), stats.simplifications, d_entries, d_size)
 
 
+@dataclass(slots=True)
+class Trail:
+    """The last walk a node concluded among the instances it respawned in
+    the current round, for those respawned after it, which walk fresh over
+    the same memory: ``rows[t]`` is ``(row, rest)``, the walk's row at
+    round t and the rewrite count of its rows after t; ``target`` and
+    ``found`` are the round it expanded to and what its ``smove``
+    returned.  It dies with the round."""
+
+    target: Optional[int] = None
+    found: Optional[tuple[int, int, Verdict]] = None
+    rows: dict[int, tuple[tuple[tuple[int, BoolExpr], ...], int]] = field(default_factory=dict)
+
+
 class EHE:
     """Rows round -> ``((state, BoolExpr), ...)`` for one monitor instance,
     each row in its own frame, narrowed against its own memory.  One
-    watermark: every row is narrowed at memory version ``_version``, and
-    rows up to ``_scanned_upto`` have been checked for ``true``.  The step
-    and narrow tables outlive the instance: ``respawn`` starts the next
-    one over the same memory."""
+    watermark: every row is narrowed at memory version ``_version`` and
+    scanned for ``true``; ``_found`` is the greatest round found certain.
+    The step and narrow tables outlive the instance: ``respawn`` starts
+    the next one over the same memory."""
 
     __slots__ = (
         "monitor",
@@ -209,10 +230,9 @@ class EHE:
         "t_origin",
         "t_last",
         "_version",
-        "_scanned_upto",
         "_found",
-        "_n_entries",
-        "_total_size",
+        "n_entries",
+        "total_size",
         "_steps",
         "_narrows",
         "_row_atoms",
@@ -234,17 +254,19 @@ class EHE:
         self.respawn(t_origin)
 
     def respawn(self, t_origin: int) -> None:
-        """Start a fresh instance at t_origin, certain of the initial state."""
-        self.t_origin = t_origin
-        self.t_last = t_origin
+        """Start a fresh instance at t_origin, certain of the initial state.
+        Its one row has no atoms, so it is narrowed and scanned already."""
+        initial = self.monitor.initial
+        self.t_origin = self.t_last = t_origin
         self.entries: dict[int, tuple[tuple[int, BoolExpr], ...]] = {
-            t_origin: ((self.monitor.initial, expr.BTRUE),)
+            t_origin: ((initial, expr.BTRUE),)
         }
-        self._version: Optional[int] = None
-        self._scanned_upto = t_origin - 1
-        self._found: Optional[tuple[int, int, Verdict]] = None
-        self._n_entries = 1
-        self._total_size = expr.BTRUE.size
+        self._version = self.memory.version
+        self._found = (t_origin, initial, self.monitor.verdict(initial))
+        # counters are maintained incrementally: entry rows can span thousands
+        # of rounds and recounting them every round is quadratic
+        self.n_entries = 1
+        self.total_size = expr.BTRUE.size
 
     def expr_at(self, t: int, state: int) -> Optional[BoolExpr]:
         """The entry at absolute atom times."""
@@ -253,96 +275,96 @@ class EHE:
                 return expr.stamp(e, t)
         return None
 
-    # counters are maintained incrementally: entry rows can span thousands
-    # of rounds and recounting them every round is quadratic
-    @property
-    def n_entries(self) -> int:
-        return self._n_entries
-
-    @property
-    def total_size(self) -> int:
-        return self._total_size
-
-    def smove(self, t_future: int) -> None:
-        """Narrow the rows (``resolve``), then expand them up to t_future;
-        guard atoms for step t-1 -> t are those of round t-1.  States whose
-        expression folds to false are dropped.  A row built from a narrowed
-        predecessor and the known atoms of its round is narrowed too, so
-        the watermark stays where it is.  Rows come from the step table
-        (see the module docstring)."""
-        if t_future <= self.t_last:
-            return
-        self.resolve()
-        monitor, memory, entries = self.monitor, self.memory, self.entries
-        steps = self._steps
-        for t in range(self.t_last + 1, t_future + 1):
-            prev = entries[t - 1]
-            known, values = memory.masks(t - 1)
-            key = (prev, known, values)
-            step = steps.get(key)
-            if step is None:
-                step = steps[key] = _build(monitor, memory.names, prev, known, values)
-            self.stats.bump(step.rewrites)
-            self._n_entries += step.d_entries
-            self._total_size += step.d_size
-            entries[t] = step.row
-        self.t_last = t_future
-
-    def resolve(self) -> Optional[tuple[int, int, Verdict]]:
-        """Report the greatest round whose state became certain.  When the
-        memory has changed since the last pass, narrow every row against
-        it; otherwise only check the rows not yet scanned for ``true``, so
-        a quiescent round costs nothing.  Narrowing a row is a lookup in
-        the narrow table (see the module docstring).  Rows older than the
-        latest certain round are dropped — the state there is settled."""
+    def smove(self, t_future: int, trail: Optional[Trail] = None) -> tuple[int, int, Verdict]:
+        """Narrow the rows if the memory changed, expand up to t_future
+        (guard atoms for step t-1 -> t are those of round t-1) and scan the
+        new rows for ``true``.  Return the greatest round whose state is
+        certain, as (round, state, verdict), and drop the rows before it.
+        With a ``trail`` of the same target, a walk that meets the trail's
+        row at a certain round stops there and reports the trail's
+        conclusion; either way it leaves its own walk in the trail."""
         memory, entries = self.memory, self.entries
-        narrow = self._version != memory.version
-        if narrow:
-            times = entries  # replacing a row in place keeps the dict's keys
-        elif self._scanned_upto < self.t_last:
-            times = range(self._scanned_upto + 1, self.t_last + 1)
-        else:
+        t_last = self.t_last
+        if self._version == memory.version and t_future <= t_last:
             return self._found
-        monitor, stats, get = self.monitor, self.stats, memory.get
-        narrows, row_atoms = self._narrows, self._row_atoms
-        best = self._found
-        for t in times:
-            row = entries[t]
-            if narrow:
+        first, best_q, _ = self._found
+        best, work = first, 0
+        n_entries, total_size = self.n_entries, self.total_size
+        if self._version != memory.version:
+            get, narrows, row_atoms = memory.get_at, self._narrows, self._row_atoms
+            for t, row in entries.items():  # replacing a row keeps the keys
                 atoms = row_atoms.get(row)
                 if atoms is None:
                     atoms = row_atoms[row] = _atoms_of(row)
                 known = values = 0
                 for i, (time, name) in enumerate(atoms):
-                    value = get(Atom(time + t, name))
+                    value = get(time + t, name)
                     if value is not None:
                         known |= 1 << i
                         if value:
                             values |= 1 << i
-                if known:  # a substituted atom always changes the row
+                # a substituted atom always changes the row, and only a
+                # changed row can have become certain
+                if known:
                     key = (row, known, values)
                     narrowed = narrows.get(key)
                     if narrowed is None:
                         narrowed = narrows[key] = _narrow(row, atoms, known, values)
-                    stats.bump(narrowed.rewrites)
-                    self._n_entries += narrowed.d_entries
-                    self._total_size += narrowed.d_size
-                    row = entries[t] = narrowed.row
-            for q, e in row:
-                if e is expr.BTRUE and (best is None or t >= best[0]):
-                    best = (t, q, monitor.verdict(q))
-        if best is not None:
-            # rows are kept in ascending t, from the last certain round on
-            first = self.t_origin if self._found is None else self._found[0]
-            for t in range(first, best[0]):
-                row = entries.pop(t)
-                self._n_entries -= len(row)
-                for _, e in row:
-                    self._total_size -= e.size
-        self._version = memory.version
-        self._scanned_upto = self.t_last
-        self._found = best
-        return best
+                    work += narrowed.rewrites
+                    n_entries += narrowed.d_entries
+                    total_size += narrowed.d_size
+                    entries[t] = narrowed.row
+                    if narrowed.certain is not None:
+                        best, best_q = t, narrowed.certain
+            self._version = memory.version
+        walk, merge = [], None
+        if t_future > t_last:
+            if trail is not None and trail.target != t_future:
+                trail.target, trail.rows = t_future, {}
+            steps, masks, names = self._steps, memory.masks, memory.names
+            prev = entries[t_last]
+            for t in range(t_last + 1, t_future + 1):
+                known, values = masks(t - 1)
+                key = (prev, known, values)
+                step = steps.get(key)
+                if step is None:
+                    step = steps[key] = _build(self.monitor, names, prev, known, values)
+                work += step.rewrites
+                n_entries += step.d_entries
+                total_size += step.d_size
+                prev = entries[t] = step.row
+                if trail is not None:
+                    walk.append((t, prev, step.rewrites))
+                if step.certain is not None:
+                    best, best_q = t, step.certain
+                    hit = None if trail is None else trail.rows.get(t)
+                    if hit is not None and hit[0] is prev:
+                        merge = hit
+                        work += merge[1]
+                        t_future = t
+                        break
+            self.t_last = t_future
+        for t in range(first, best):
+            row = entries.pop(t)
+            n_entries -= len(row)
+            for _, e in row:
+                total_size -= e.size
+        self.n_entries, self.total_size = n_entries, total_size
+        self.stats.simplifications += work
+        found = (best, best_q, self.monitor.verdict(best_q)) if merge is None else trail.found
+        if walk and found[2].final:  # a walk that concludes is the trail's now
+            rest = 0 if merge is None else merge[1]
+            for t, row, rewrites in reversed(walk):
+                trail.rows[t] = (row, rest)
+                rest += rewrites
+            trail.found = found
+        self._found = found
+        return found
+
+    def resolve(self) -> tuple[int, int, Verdict]:
+        """``smove`` without expanding: narrow against the memory and
+        report the greatest round whose state is certain."""
+        return self.smove(self.t_last)
 
     def dump(self) -> str:
         """One ``t | state | expr`` row per entry, at absolute atom times."""

@@ -24,15 +24,17 @@ class Memory:
     """Partial function from atoms to final verdicts (True/False).
 
     A version counter increments on every mutation so callers can cache
-    evaluation results against a memory snapshot.
+    evaluation results against a memory snapshot.  ``gc`` drops rounds
+    from a low-water mark up; ``max_time`` reads a high mark.
     """
 
-    __slots__ = ("names", "_rounds", "_len", "version")
+    __slots__ = ("names", "_rounds", "_len", "_low", "_high", "version")
 
     def __init__(self) -> None:
         self.names: dict[str, int] = {}  # name -> bit, in bit order
         self._rounds: dict[int, tuple[int, int]] = {}
         self._len = 0
+        self._low = self._high = 0  # with rounds stored: low <= min, high == max
         self.version = 0
 
     def __len__(self) -> int:
@@ -42,21 +44,34 @@ class Memory:
         return self.get(atom) is not None
 
     def get(self, atom: Atom) -> Optional[bool]:
-        bit = self.names.get(atom.name)
+        return self.get_at(atom.time, atom.name)
+
+    def get_at(self, t: int, name: str) -> Optional[bool]:
+        bit = self.names.get(name)
         if bit is None:
             return None
-        known, values = self._rounds.get(atom.time, (0, 0))
+        known, values = self._rounds.get(t, (0, 0))
         return bool(values >> bit & 1) if known >> bit & 1 else None
 
     def store(self, atom: Atom, value: bool) -> None:
-        mask = 1 << self.names.setdefault(atom.name, len(self.names))
-        known, values = self._rounds.get(atom.time, (0, 0))
+        self.store_at(atom.time, atom.name, value)
+
+    def store_at(self, t: int, name: str, value: bool) -> None:
+        mask = 1 << self.names.setdefault(name, len(self.names))
+        rounds = self._rounds
+        known, values = rounds.get(t, (0, 0))
         if known & mask:
             old = bool(values & mask)
             if old != value:
-                raise ConflictingObservationError(atom, old, value)
+                raise ConflictingObservationError(Atom(t, name), old, value)
             return
-        self._rounds[atom.time] = (known | mask, values | mask if value else values)
+        if not rounds:
+            self._low = self._high = t
+        elif t > self._high:
+            self._high = t
+        elif t < self._low:
+            self._low = t  # a late store below the mark lowers it
+        rounds[t] = (known | mask, values | mask if value else values)
         self._len += 1
         self.version += 1
 
@@ -66,14 +81,17 @@ class Memory:
         return self._rounds.get(t, (0, 0))
 
     def max_time(self) -> Optional[int]:
-        return max(self._rounds) if self._rounds else None
+        return self._high if self._rounds else None
 
     def gc(self, t: int) -> None:
-        """Drop every atom with timestamp <= t."""
-        stale = [ts for ts in self._rounds if ts <= t]
-        for ts in stale:
-            self._len -= self._rounds.pop(ts)[0].bit_count()
-        if stale:
+        """Drop every atom with timestamp <= t, from the low-water mark up."""
+        rounds, n = self._rounds, len(self._rounds)
+        for ts in range(self._low, min(t, self._high) + 1):
+            known = rounds.pop(ts, None)
+            if known is not None:
+                self._len -= known[0].bit_count()
+        self._low = max(self._low, t + 1)
+        if len(rounds) < n:
             self.version += 1
 
     def dump(self) -> str:

@@ -1,11 +1,13 @@
 """Round-based execution of monitor nodes over a shared logical clock.
 
 Each round: deliver due verdict messages, poll the trace into per-node
-memories, then let every node expand/resolve its encoding.  When a node
-concludes a final verdict for the round it is checking, it appends the
-verdict to its log, notifies dependent monitors, garbage-collects its
-memory, and respawns its encoding at the next round.  A node checks
-rounds 0, 1, 2... in order, so its log is a list indexed by round.
+memories, then let every node step its encoding, one ``smove`` per
+instance.  When a node concludes a final verdict for the round it is
+checking, it appends the verdict to its log, notifies dependent monitors,
+garbage-collects its memory, and respawns its encoding at the next round;
+later instances of the round catch up with the walk concluded before
+them (``ehe.Trail``).  A node checks rounds 0, 1, 2... in order, so its
+log is a list indexed by round.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ from __future__ import annotations
 import random
 from concurrent.futures import ThreadPoolExecutor  # unused; benchmarks/test_checks.py deletes it
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import ehe as ehe_mod
 from . import synthesis
 from .ehe import EAGER, EHE, WILDCARD
-from .expr import Atom
 from .memory import Memory
 from .registry import Registry
 from .verdicts import Verdict
@@ -28,8 +29,7 @@ class SimulationError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     sender: str
     receiver: str
     timestamp: int
@@ -95,11 +95,13 @@ class SimulationReport:
         return sum(window) / len(window)
 
     def verdicts_csv(self) -> str:
-        lines = ["round,label,verdict,delay"]
+        # one label's lines alive at a time: this file is the largest
+        # allocation of a short replay
+        chunks = ["round,label,verdict,delay\n"]
         for label in sorted(self.verdicts):
-            for t, rec in enumerate(self.verdicts[label]):
-                lines.append(f"{t},{label},{rec.verdict},{rec.delay}")
-        return "\n".join(lines) + "\n"
+            log = enumerate(self.verdicts[label])
+            chunks.append("".join(f"{t},{label},{rec.verdict},{rec.delay}\n" for t, rec in log))
+        return "".join(chunks)
 
     def metrics_csv(self) -> str:
         lines = ["round,msgs,simplifications,max_ehe_nodes"]
@@ -203,7 +205,7 @@ def run_simulation(
         # 1. deliver verdict messages that are due
         for msg in pending.pop(r, ()):
             node = nodes[msg.receiver]
-            node.ehe.memory.store(Atom(msg.timestamp, msg.sender), msg.verdict)
+            node.ehe.memory.store_at(msg.timestamp, msg.sender, msg.verdict)
             node.delivered_now.append(msg.timestamp)
 
         # 2. poll the trace into per-node memories
@@ -212,7 +214,7 @@ def run_simulation(
             for label in order:
                 node = nodes[label]
                 for ap in node.own_props:
-                    node.ehe.memory.store(Atom(r, ap), event[ap])
+                    node.ehe.memory.store_at(r, ap, event[ap])
         except KeyError:
             raise SimulationError(
                 f"no trace source for {ap!r} at round {r} (monitor {label!r})"
@@ -228,17 +230,19 @@ def run_simulation(
             due = options.delivery.delivery_round(msg.send_round, rng)
             pending.setdefault(due, []).append(msg)
 
+        total_simp = max_size = max_entries = stored = 0
+        for node in nodes.values():
+            enc = node.ehe
+            total_simp += enc.stats.simplifications
+            max_size = max(max_size, enc.total_size)
+            max_entries = max(max_entries, enc.n_entries)
+            stored += len(enc.memory)
         messages_per_round.append(len(sent))
-        total_simp = sum(node.ehe.stats.simplifications for node in nodes.values())
         simplifications_per_round.append(total_simp - prev_simplifications)
         prev_simplifications = total_simp
-        max_size_per_round.append(
-            max((node.ehe.total_size for node in nodes.values()), default=0)
-        )
-        max_entries_per_round.append(
-            max((node.ehe.n_entries for node in nodes.values()), default=0)
-        )
-        memory_per_round.append(sum(len(node.ehe.memory) for node in nodes.values()))
+        max_size_per_round.append(max_size)
+        max_entries_per_round.append(max_entries)
+        memory_per_round.append(stored)
 
     # trace end: unresolved rounds stay UNKNOWN, flagged truncated
     for label in order:
@@ -298,14 +302,10 @@ def _step_node(
     node: _Node, r: int, records: dict[tuple[Verdict, int], VerdictRecord]
 ) -> list[Message]:
     out: list[Message] = []
+    enc, trail = node.ehe, None  # a trail for instances respawned this round
     while True:
         target = _expansion_target(node, r)
-        if target is not None and target > node.ehe.t_last:
-            node.ehe.smove(target)
-        found = node.ehe.resolve()
-        if found is None:
-            break
-        _, _, verdict = found
+        _, _, verdict = enc.smove(enc.t_last if target is None else target, trail)
         t = len(node.log)
         if not verdict.final or t > r:
             break
@@ -316,8 +316,10 @@ def _step_node(
         for dep in node.dependents:
             out.append(Message(node.label, dep, t, verdict is Verdict.TRUE, r))
         if node.gc_enabled:
-            node.ehe.memory.gc(t)
-        node.ehe.respawn(t + 1)
+            enc.memory.gc(t)
+        enc.respawn(t + 1)
+        # no round after r is stored: an instance at r + 1 expands nothing
+        trail = trail or ehe_mod.Trail()
     node.delivered_now.clear()
     return out
 

@@ -2,12 +2,27 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import os
 import random
 
 from decrv import expr, ltl, registry
 from decrv.ehe import EAGER, WILDCARD, TriggerLit, TriggerOr
 from decrv.simulator import DeliveryPolicy, SimulationOptions
+
+
+def benchmark_gen(fault_gap_mean=None):
+    """A fresh copy of the benchmark's seeded trace generator (standard
+    library only), its ``FAULT_GAP_MEAN`` set when one is given; the file
+    itself is left as it is."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "gen.py")
+    spec = importlib.util.spec_from_file_location("benchmark_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if fault_gap_mean is not None:
+        module.FAULT_GAP_MEAN = fault_gap_mean
+    return module
 
 
 def seval(e, memory, stats=None):

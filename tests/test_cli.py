@@ -242,6 +242,14 @@ def test_replay_bad_delivery_reported_before_missing_manifest(workspace, capsys)
     assert "ghost.manifest" not in err
 
 
+@pytest.mark.parametrize("value", ["delay:-1", "reorder:-2:0"])
+def test_replay_negative_delivery_delay_is_usage_error(workspace, capsys, value):
+    # a bad flag value exits 1, like any other usage error
+    code, _ = _replay(workspace, "negative", "--delivery", value)
+    assert code == 1
+    assert f"bad --delivery value {value!r}" in capsys.readouterr().err
+
+
 def test_replay_reorder_seed_drives_delivery(workspace, capsys):
     # the seed is the SEED of reorder:N:SEED; there is no separate flag
     runs = {}

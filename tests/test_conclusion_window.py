@@ -8,37 +8,34 @@ covers the infinite-horizon monitors.  It checks soundness only: a delay
 that is too long, or an UNKNOWN that should have been final, passes.
 """
 
-import importlib.util
-import os
-
 import pytest
 
 from decrv import oracle, registry
 from decrv.simulator import DeliveryPolicy, SimulationOptions, run_simulation
 
+from conftest import benchmark_gen
+
 ROUNDS = 150
+# lamp faults ~240 rounds apart: a sticky backlog of ~330 rounds concluded
+# by as many instances in one round
+GAP240_ROUNDS = 400
 # monitors whose oracle checks stay cheap: 41 of amiqual's 49
 MAX_ELEMENTARY = 20
 INFINITE_HORIZON = {"sc_light_0", "sc_light_1", "sc_light_2", "sc_light_3", "sc_ok"}
 
 
-def _gen():
-    """The benchmark's seeded trace generator (standard library only)."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "gen.py")
-    spec = importlib.util.spec_from_file_location("benchmark_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize(
-    "kind, delivery",
-    [("sticky", DeliveryPolicy()), ("busy", DeliveryPolicy("reorder", 3))],
-    ids=["sticky-immediate", "busy-reorder3"],
+    "kind, delivery, gap, rounds",
+    [
+        ("sticky", DeliveryPolicy(), None, ROUNDS),
+        ("busy", DeliveryPolicy("reorder", 3), None, ROUNDS),
+        ("sticky", DeliveryPolicy(), 240, GAP240_ROUNDS),
+    ],
+    ids=["sticky-immediate", "busy-reorder3", "sticky-gap240"],
 )
-def test_final_verdicts_match_oracle_on_conclusion_window(kind, delivery):
+def test_final_verdicts_match_oracle_on_conclusion_window(kind, delivery, gap, rounds):
     reg = registry.bundled("amiqual")
-    trace = getattr(_gen(), f"{kind}_trace")(0, ROUNDS)
+    trace = getattr(benchmark_gen(fault_gap_mean=gap), f"{kind}_trace")(0, rounds)
     report = run_simulation(reg, trace, SimulationOptions(delivery=delivery, seed=0))
     finals = {}
     for label, log in sorted(report.verdicts.items()):

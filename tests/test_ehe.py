@@ -249,8 +249,9 @@ def _step_matches_symbolic(enc, prev, t):
     disjunct order), smove narrows the row, then expands it to round t."""
     monitor, memory, stats = enc.monitor, enc.memory, enc.stats
     enc.respawn(t - 1)
-    # rows are stored in their own frame
+    # rows are stored in their own frame; this one is not narrowed yet
     enc.entries[t - 1] = tuple((p, expr.stamp(e, -(t - 1))) for p, e in prev.items())
+    enc._version = None
     n0, size0, work0 = enc.n_entries, enc.total_size, stats.simplifications
     enc.smove(t)
     ref_stats = expr.SimplifyStats()
@@ -260,10 +261,13 @@ def _step_matches_symbolic(enc, prev, t):
     assert [q for q, _ in enc.entries[t]] == sorted(row)
     assert {q: enc.expr_at(t, q) for q, _ in enc.entries[t]} == row
     assert stats.simplifications - work0 == ref_stats.simplifications + work
-    # the narrowing pass replaced prev's entries by their narrowed forms
+    # the narrowing pass replaced prev's entries by their narrowed forms,
+    # and a certain row t drops them
+    assert (t - 1 not in enc.entries) == (expr.BTRUE in row.values())
+    kept = narrowed if t - 1 in enc.entries else {}
     size = lambda r: sum(e.size for e in r.values())
-    assert enc.n_entries - n0 == len(row) + len(narrowed) - len(prev)
-    assert enc.total_size - size0 == size(row) + size(narrowed) - size(prev)
+    assert enc.n_entries - n0 == len(row) + len(kept) - len(prev)
+    assert enc.total_size - size0 == size(row) + size(kept) - size(prev)
 
 
 def _full_round(rng, memory, monitor, t):
@@ -418,7 +422,6 @@ def _forget_narrowing(enc):
     reference takes every row whichever way the code under test picks
     them."""
     enc._version = None
-    enc._scanned_upto = enc.t_origin - 1
 
 
 def test_resolve_skipping_narrowed_rows_matches_full_walk():
@@ -496,12 +499,13 @@ class _AbsoluteEHE:
 
     def smove(self, t_future):
         if t_future <= self.t_last:
-            return
+            return self.resolve()
         self.resolve()
         for t in range(self.t_last + 1, t_future + 1):
             self.rows[t], work = _symbolic_row(self.monitor, self.rows[t - 1], t, self.memory)
             self.stats.bump(work)
         self.t_last = t_future
+        return self.resolve()
 
     def resolve(self):
         best = self.found
@@ -538,8 +542,7 @@ def test_frame_relative_rows_match_absolute_recipe():
             if op == "gc":
                 memory.gc(*args)
             elif op == "smove":
-                enc.smove(*args)
-                ref.smove(*args)
+                assert enc.smove(*args) == ref.smove(*args)
             else:
                 assert enc.resolve() == ref.resolve()
             got = {
@@ -571,8 +574,9 @@ def test_smove_appends_step_rows_narrowed_against_memory():
                 enc.smove(*args)
                 if enc.t_last == t_last:
                     continue  # nothing to expand, nothing narrowed
-                # each new row is the step table's own row for its key
-                for t in range(t_last + 1, enc.t_last + 1):
+                # each new row is the step table's own row for its key;
+                # rows before a new certain row are dropped
+                for t in range(max(t_last, min(enc.entries)) + 1, enc.t_last + 1):
                     key = (enc.entries[t - 1], *memory.masks(t - 1))
                     assert enc.entries[t] is enc._steps[key].row
                 for t, row in enc.entries.items():
@@ -632,3 +636,32 @@ def test_narrow_table_cleared_at_random_matches_kept_table():
         _assert_narrow_entries_exact(kept)
         _assert_narrow_entries_exact(cleared)
     assert stored  # the traces narrow rows through the table
+
+
+def test_walks_with_a_trail_match_walks_without_one():
+    # instances respawned one after another over one memory, as a node
+    # respawns them in one round: with a trail, each reports what it would
+    # report without one and is charged the same rewrites, whatever its
+    # target, and one that catches up stops early
+    rng = random.Random(59)
+    caught_up = 0
+    for _ in range(40):
+        monitor = synthesis.build(random_formula(rng, ["a", "b", "c"], rng.randint(1, 4)))
+        memory = Memory()
+        for t in range(30):
+            for name in monitor.alphabet:
+                if rng.random() < 0.9:
+                    memory.store(Atom(t, name), rng.random() < 0.5)
+        stats, plain_stats = expr.SimplifyStats(), expr.SimplifyStats()
+        enc, plain = EHE(monitor, 0, memory, stats), EHE(monitor, 0, memory, plain_stats)
+        trail = ehe.Trail()
+        for origin in range(25):
+            target = rng.choice([origin, 26, 26, 28, 30])
+            enc.respawn(origin)
+            plain.respawn(origin)
+            assert enc.smove(target, trail) == plain.smove(target)
+            assert stats.simplifications == plain_stats.simplifications
+            caught_up += enc.t_last < plain.t_last
+            if rng.random() < 0.5:
+                memory.gc(origin)  # what concluding round ``origin`` does
+    assert caught_up

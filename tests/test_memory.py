@@ -177,3 +177,57 @@ def test_matches_dict_reference(ops):
         assert m.dump() == "\n".join(
             f"{a.time},{a.name},{'TRUE' if v else 'FALSE'}" for a, v in sorted(ref.items())
         )
+
+
+_BOOKKEEPING_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("store"), st.integers(0, 30), st.sampled_from("abc"), st.booleans()),
+        # a store k rounds below the highest gc point so far: below the
+        # low-water mark, or into a round gc already emptied
+        st.tuples(st.just("late"), st.integers(0, 6), st.sampled_from("abc"), st.booleans()),
+        st.tuples(st.just("gc"), st.integers(-1, 31)),
+    ),
+    max_size=60,
+)
+
+
+@given(_BOOKKEEPING_OPS)
+def test_low_and_high_marks_match_dict_reference(ops):
+    """``gc`` from a low-water mark and ``max_time`` from a high mark, under
+    stores, late stores below the mark and gc, against a plain dict."""
+    m, ref = Memory(), {}
+    mark = -1
+    for op in ops:
+        version = m.version
+        if op[0] == "gc":
+            mark = max(mark, op[1])
+            stale = [a for a in ref if a.time <= op[1]]
+            for a in stale:
+                del ref[a]
+            m.gc(op[1])
+            changed = bool(stale)
+        else:
+            kind, t, name, value = op
+            atom = Atom(t if kind == "store" else mark - t, name)
+            if ref.get(atom, value) != value:
+                with pytest.raises(ConflictingObservationError):
+                    m.store(atom, value)
+                changed = False
+            else:
+                changed = atom not in ref
+                ref[atom] = value
+                m.store(atom, value)
+        assert (m.version != version) == changed
+        assert len(m) == len(ref)
+        assert m.max_time() == max((a.time for a in ref), default=None)
+        for t in range(-8, 32):
+            known, values = m.masks(t)
+            decoded = {
+                Atom(t, name): bool(values >> bit & 1)
+                for name, bit in m.names.items()
+                if known >> bit & 1
+            }
+            assert decoded == {a: v for a, v in ref.items() if a.time == t}
+            for name in "abc":
+                assert m.get(Atom(t, name)) is ref.get(Atom(t, name))
+                assert m.get_at(t, name) is ref.get(Atom(t, name))

@@ -17,7 +17,7 @@ from decrv.simulator import (
 )
 from decrv.verdicts import Verdict
 
-from conftest import random_trace
+from conftest import benchmark_gen, random_trace
 
 PAIR = load_registry(
     """
@@ -480,3 +480,82 @@ def test_intern_table_stays_bounded_between_sweeps(fresh_tables):
     for node in _held_by_monitors().values():
         if not isinstance(node, expr.BConst):
             assert expr._interned[_intern_key(node)] is node
+
+
+LIGHT_0 = load_registry(
+    """
+component switch_0 { s0 }
+component lamp_0 { l0 }
+monitor light_0 @ lamp_0 := l0
+monitor sc_light_0 @ switch_0 := G(s0 -> X(light_0 U !s0))
+"""
+)
+
+
+def _lamp_fault_trace(n):
+    # the switch stays on and the lamp lights until it fails at round
+    # n - 2: every earlier round of sc_light_0 is violated, and concludes
+    # FALSE at round n - 1, when the lamp's verdict about n - 2 arrives
+    return [{"s0": True, "l0": r != n - 2} for r in range(n)]
+
+
+def _without_catch_up(monkeypatch):
+    """Step every instance as if no walk had concluded before it."""
+    smove = simulator.EHE.smove
+    monkeypatch.setattr(simulator.EHE, "smove", lambda enc, target, trail=None: smove(enc, target))
+
+
+def test_catch_up_after_a_lamp_fault_is_linear(monkeypatch):
+    # rows counted as benchmarks/tracer.py counts them: the change in
+    # t_last per smove; a walk per concluded round builds n^2 / 2 of them
+    n = 400
+    rows = 0
+    smove = simulator.EHE.smove
+
+    def counted(enc, *args):
+        nonlocal rows
+        before = enc.t_last
+        found = smove(enc, *args)
+        if "s0" in enc.monitor.alphabet:
+            rows += enc.t_last - before
+        return found
+
+    monkeypatch.setattr(simulator.EHE, "smove", counted)
+    report = run_simulation(LIGHT_0, _lamp_fault_trace(n))
+    log = report.verdicts["sc_light_0"]
+    assert [(rec.verdict, rec.delay) for rec in log[: n - 2]] == [
+        (Verdict.FALSE, n - 1 - t) for t in range(n - 2)
+    ]
+    assert rows <= 10 * n
+
+
+@pytest.mark.parametrize("kind", ["lamp-fault", "random", "amiqual-gap240"])
+def test_catch_up_leaves_reports_unchanged(monkeypatch, kind):
+    if kind == "lamp-fault":
+        reg, traces = LIGHT_0, [_lamp_fault_trace(n) for n in (3, 4, 60)]
+    elif kind == "random":
+        rng = random.Random(53)
+        reg = LIGHT_0
+        traces = []
+        for _ in range(20):
+            # long lamp-on stretches with rare faults and switch flips
+            s = l = True
+            trace = []
+            for _ in range(rng.randint(1, 80)):
+                s = s if rng.random() < 0.9 else not s
+                l = s and rng.random() < 0.95
+                trace.append({"s0": s, "l0": l})
+            traces.append(trace)
+    else:
+        reg, traces = registry.bundled("amiqual"), [benchmark_gen(240).sticky_trace(1, 400)]
+    options = [SimulationOptions(), SimulationOptions(delivery=DeliveryPolicy("reorder", 2), seed=5)]
+    for trace in traces:
+        for opts in options:
+            got = run_simulation(reg, trace, opts)
+            with monkeypatch.context() as patch:
+                _without_catch_up(patch)
+                want = run_simulation(reg, trace, opts)
+            for name in ("verdicts_csv", "metrics_csv", "summary_txt", "timeline_tsv"):
+                assert getattr(got, name)() == getattr(want, name)(), name
+            assert got.memory_per_round == want.memory_per_round
+            assert got.max_ehe_entries_per_round == want.max_ehe_entries_per_round
