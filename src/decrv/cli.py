@@ -10,11 +10,14 @@ import argparse
 import os
 import sys
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import evaluation, ltl, registry, simulator, synthesis, traceio
-from .memory import ConflictingObservationError
+from . import ltl, registry, synthesis
+from .base import ValidationError
 from .verdicts import Verdict
+
+if TYPE_CHECKING:  # imported by the commands that run it
+    from . import simulator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,6 +153,8 @@ def _synth_one(name: str, formula: ltl.Formula, args) -> None:
 
 def _parse_delivery(text: str) -> tuple[simulator.DeliveryPolicy, int]:
     """Policy and seed; only reorder draws random numbers, from its SEED."""
+    from . import simulator
+
     parts = text.split(":")
     if parts[0] == "immediate" and len(parts) == 1:
         return simulator.DeliveryPolicy("immediate"), 0
@@ -161,6 +166,8 @@ def _parse_delivery(text: str) -> tuple[simulator.DeliveryPolicy, int]:
 
 
 def cmd_replay(args) -> int:
+    from . import simulator, traceio
+
     delivery, seed = _parse_delivery(args.delivery)
     reg = _load_spec(args.spec)
     if args.labels is not None:
@@ -191,6 +198,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_rates(args) -> int:
+    from . import traceio
+
     peripheries = traceio.load_manifest(args.manifest)
     used = None
     if args.spec:
@@ -237,6 +246,8 @@ def _read_verdicts_csv(path: str) -> dict[str, dict[int, Verdict]]:
 
 
 def cmd_eval(args) -> int:
+    from . import evaluation
+
     verdicts = _read_verdicts_csv(args.verdicts)
     with open(args.annotations, encoding="utf-8") as handle:
         annotations = evaluation.parse_annotations(handle.read())
@@ -269,20 +280,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except synthesis.SynthesisCapacityError as exc:
         print(f"decrv: capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (
-        registry.SpecError,
-        simulator.SimulationError,
-        ConflictingObservationError,
-    ) as exc:
+    except ValidationError as exc:
         print(f"decrv: validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (
-        ltl.ParseError,
-        traceio.SensorDataError,
-        evaluation.AnnotationError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # parse, sensor and annotation errors too
         print(f"decrv: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -54,48 +54,21 @@ building every row symbolically at absolute times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import expr, synthesis
 from .expr import Atom, BoolExpr, SimplifyStats
 from .memory import Memory
+from .registry import (  # the trigger syntax, re-exported: registry parses it
+    EAGER,
+    WILDCARD,
+    Trigger,
+    TriggerAnd,
+    TriggerLit,
+    TriggerOr,
+    trigger_labels,
+)
 from .verdicts import Verdict
-
-
-@dataclass(frozen=True)
-class TriggerLit:
-    """Matches a received verdict: T(label) or F(label)."""
-
-    label: str
-    want: bool
-
-
-@dataclass(frozen=True)
-class TriggerAnd:
-    left: "Trigger"
-    right: "Trigger"
-
-
-@dataclass(frozen=True)
-class TriggerOr:
-    left: "Trigger"
-    right: "Trigger"
-
-
-Trigger = TriggerLit | TriggerAnd | TriggerOr
-
-WILDCARD = "wildcard"
-EAGER = "eager"
-
-
-def trigger_labels(cond: Trigger) -> frozenset[str]:
-    match cond:
-        case TriggerLit(label, _):
-            return frozenset((label,))
-        case TriggerAnd(a, b) | TriggerOr(a, b):
-            return trigger_labels(a) | trigger_labels(b)
-    raise TypeError(f"unknown trigger {cond!r}")
 
 
 def sadv(cond: Trigger, memory: Memory, t: int) -> bool:
@@ -200,7 +173,6 @@ def _narrow(
     return _Entry(tuple(pairs), stats.simplifications, d_entries, d_size)
 
 
-@dataclass(slots=True)
 class Trail:
     """The last walk a node concluded among the instances it respawned in
     the current round, for those respawned after it, which walk fresh over
@@ -209,9 +181,12 @@ class Trail:
     ``found`` are the round it expanded to and what its ``smove``
     returned.  It dies with the round."""
 
-    target: Optional[int] = None
-    found: Optional[tuple[int, int, Verdict]] = None
-    rows: dict[int, tuple[tuple[tuple[int, BoolExpr], ...], int]] = field(default_factory=dict)
+    __slots__ = ("target", "found", "rows")
+
+    def __init__(self) -> None:
+        self.target: Optional[int] = None
+        self.found: Optional[tuple[int, int, Verdict]] = None
+        self.rows: dict[int, tuple[tuple[tuple[int, BoolExpr], ...], int]] = {}
 
 
 class EHE:

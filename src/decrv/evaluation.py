@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .verdicts import Verdict
 
@@ -41,8 +40,7 @@ def parse_annotations(text: str) -> dict[str, list[tuple[int, int]]]:
     return out
 
 
-@dataclass(frozen=True)
-class Score:
+class Score(NamedTuple):
     tp: int
     fp: int
     interval_rounds: int

@@ -350,31 +350,34 @@ def substitute_atoms(e: BoolExpr, lookup, memo: Optional[dict] = None) -> BoolEx
 
     ``memo`` (``id(node) -> (node, result)``) may be shared by calls with
     the same lookup; it holds each key node so that its id is not reused."""
-    if memo is None:
-        memo = {}
+    return _substitute(e, lookup, {} if memo is None else memo)
 
-    def go(node: BoolExpr) -> BoolExpr:
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached[1]
-        if isinstance(node, BConst):
-            out = node
-        elif isinstance(node, BAtom):
-            v = lookup(node.atom)
-            out = node if v is None else bconst(v)
-        elif isinstance(node, BNot):
-            a = go(node.operand)
-            out = node if a is node.operand else bnot(a)
-        elif isinstance(node, BAnd):
-            l, r = go(node.left), go(node.right)
-            out = node if (l is node.left and r is node.right) else band(l, r)
-        else:
-            l, r = go(node.left), go(node.right)
-            out = node if (l is node.left and r is node.right) else bor(l, r)
-        memo[id(node)] = (node, out)
-        return out
 
-    return go(e)
+# The recursive halves of ``substitute_atoms`` and ``stamp`` are module
+# functions, not closures: a closure that calls itself is a reference
+# cycle, which would keep its memo alive until the cyclic collector runs.
+
+
+def _substitute(node: BoolExpr, lookup, memo: dict) -> BoolExpr:
+    cached = memo.get(id(node))
+    if cached is not None:
+        return cached[1]
+    if isinstance(node, BConst):
+        out = node
+    elif isinstance(node, BAtom):
+        v = lookup(node.atom)
+        out = node if v is None else bconst(v)
+    elif isinstance(node, BNot):
+        a = _substitute(node.operand, lookup, memo)
+        out = node if a is node.operand else bnot(a)
+    elif isinstance(node, BAnd):
+        l, r = _substitute(node.left, lookup, memo), _substitute(node.right, lookup, memo)
+        out = node if (l is node.left and r is node.right) else band(l, r)
+    else:
+        l, r = _substitute(node.left, lookup, memo), _substitute(node.right, lookup, memo)
+        out = node if (l is node.left and r is node.right) else bor(l, r)
+    memo[id(node)] = (node, out)
+    return out
 
 
 # not a function: benchmarks/test_checks.py looks up every name the tracer
@@ -386,23 +389,22 @@ def stamp(e: BoolExpr, offset: int) -> BoolExpr:
     """Shift every atom timestamp by ``offset`` (guard templates use time 0)."""
     if offset == 0:
         return e
-    memo: dict[int, BoolExpr] = {}
+    return _stamp(e, offset, {})
 
-    def go(node: BoolExpr) -> BoolExpr:
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
-        if isinstance(node, BConst):
-            out = node
-        elif isinstance(node, BAtom):
-            out = batom(Atom(node.atom.time + offset, node.atom.name))
-        elif isinstance(node, BNot):
-            out = bnot(go(node.operand))
-        elif isinstance(node, BAnd):
-            out = band(go(node.left), go(node.right))
-        else:
-            out = bor(go(node.left), go(node.right))
-        memo[id(node)] = out
-        return out
 
-    return go(e)
+def _stamp(node: BoolExpr, offset: int, memo: dict[int, BoolExpr]) -> BoolExpr:
+    cached = memo.get(id(node))
+    if cached is not None:
+        return cached
+    if isinstance(node, BConst):
+        out = node
+    elif isinstance(node, BAtom):
+        out = batom(Atom(node.atom.time + offset, node.atom.name))
+    elif isinstance(node, BNot):
+        out = bnot(_stamp(node.operand, offset, memo))
+    elif isinstance(node, BAnd):
+        out = band(_stamp(node.left, offset, memo), _stamp(node.right, offset, memo))
+    else:
+        out = bor(_stamp(node.left, offset, memo), _stamp(node.right, offset, memo))
+    memo[id(node)] = out
+    return out

@@ -10,87 +10,95 @@ decides which identifiers name monitors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .base import Record, set_field
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Record):
+    """An immutable syntax node (see :class:`decrv.base.Record`)."""
+
+    __slots__ = ()
+
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
 class Const(Formula):
-    value: bool
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Prop(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    operand: Formula
+class _Unary(Formula):
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand: Formula) -> None:
+        set_field(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class _Window(Formula):
+    __slots__ = __match_args__ = ("bound", "operand")
+
+    def __init__(self, bound: int, operand: Formula) -> None:
+        if bound < 0:
+            raise ValueError(f"negative bound {bound}")
+        set_field(self, "bound", bound)
+        set_field(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    operand: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Globally(Formula):
-    operand: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Finally(Formula):
-    operand: Formula
+class Next(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FinallyWithin(Formula):
-    bound: int
-    operand: Formula
-
-    def __post_init__(self) -> None:
-        if self.bound < 0:
-            raise ValueError(f"negative bound {self.bound}")
+class Until(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GloballyWithin(Formula):
-    bound: int
-    operand: Formula
+class Globally(_Unary):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.bound < 0:
-            raise ValueError(f"negative bound {self.bound}")
+
+class Finally(_Unary):
+    __slots__ = ()
+
+
+class FinallyWithin(_Window):
+    __slots__ = ()
+
+
+class GloballyWithin(_Window):
+    __slots__ = ()
 
 
 TRUE = Const(True)
@@ -384,38 +392,38 @@ def bounded_horizon(f: Formula) -> int | None:
 
 def render(f: Formula) -> str:
     """Re-render as parseable concrete syntax."""
+    return _render(f, 0)
 
-    def go(g: Formula, parent: int) -> str:
-        # precedence levels: -> 0, | 1, & 2, U 3, unary 4, atom 5
-        match g:
-            case Const(v):
-                return "true" if v else "false"
-            case Prop(name):
-                return name
-            case Not(a):
-                return "!" + go(a, 4)
-            case Next(a):
-                return "X " + go(a, 4)
-            case Globally(a):
-                return "G " + go(a, 4)
-            case Finally(a):
-                return "F " + go(a, 4)
-            case FinallyWithin(b, a):
-                return f"F<={b} " + go(a, 4)
-            case GloballyWithin(b, a):
-                return f"G<={b} " + go(a, 4)
-            case Until(a, b):
-                s = go(a, 4) + " U " + go(b, 3)
-                return f"({s})" if parent > 3 else s
-            case And(a, b):
-                s = go(a, 3) + " & " + go(b, 3)
-                return f"({s})" if parent > 2 else s
-            case Or(a, b):
-                s = go(a, 2) + " | " + go(b, 2)
-                return f"({s})" if parent > 1 else s
-            case Implies(a, b):
-                s = go(a, 1) + " -> " + go(b, 0)
-                return f"({s})" if parent > 0 else s
-        raise TypeError(f"unknown node {g!r}")
 
-    return go(f, 0)
+def _render(g: Formula, parent: int) -> str:
+    # precedence levels: -> 0, | 1, & 2, U 3, unary 4, atom 5
+    match g:
+        case Const(v):
+            return "true" if v else "false"
+        case Prop(name):
+            return name
+        case Not(a):
+            return "!" + _render(a, 4)
+        case Next(a):
+            return "X " + _render(a, 4)
+        case Globally(a):
+            return "G " + _render(a, 4)
+        case Finally(a):
+            return "F " + _render(a, 4)
+        case FinallyWithin(b, a):
+            return f"F<={b} " + _render(a, 4)
+        case GloballyWithin(b, a):
+            return f"G<={b} " + _render(a, 4)
+        case Until(a, b):
+            s = _render(a, 4) + " U " + _render(b, 3)
+            return f"({s})" if parent > 3 else s
+        case And(a, b):
+            s = _render(a, 3) + " & " + _render(b, 3)
+            return f"({s})" if parent > 2 else s
+        case Or(a, b):
+            s = _render(a, 2) + " | " + _render(b, 2)
+            return f"({s})" if parent > 1 else s
+        case Implies(a, b):
+            s = _render(a, 1) + " -> " + _render(b, 0)
+            return f"({s})" if parent > 0 else s
+    raise TypeError(f"unknown node {g!r}")

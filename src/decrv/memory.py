@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .base import ValidationError
 from .expr import Atom
 
 
-class ConflictingObservationError(ValueError):
+class ConflictingObservationError(ValidationError):
     """Same atom stored twice with different verdicts."""
 
     def __init__(self, atom: Atom, old: bool, new: bool):

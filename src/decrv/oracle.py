@@ -4,7 +4,9 @@ Independent of the synthesis module by construction: a finite trace is
 consumed by formula progression, and the leftover obligation is decided by
 satisfiability checks.  Window-only residuals (pure X towers) are decided
 by exhaustive event enumeration; residuals with unbounded operators go
-through a filtration-style state graph with fair-cycle detection.
+through a filtration-style state graph with fair-cycle detection, over
+its own reachability and SCC pass (Kosaraju's, not the Tarjan pass that
+synthesis uses).
 
 Formulas are normalized to negation normal form over nested tuples:
     ("true",) | ("false",) | ("lit", name, positive)
@@ -16,8 +18,6 @@ from __future__ import annotations
 
 import itertools
 from typing import Mapping, Sequence
-
-import networkx as nx
 
 from . import ltl
 from .verdicts import Verdict
@@ -315,8 +315,7 @@ def _sat_filtration(node) -> bool:
                         reqs[chi] = False
         return reqs
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(states)))
+    succ: list[list[int]] = [[] for _ in states]
     for i, state in enumerate(states):
         reqs = requirements(state)
         if reqs is None:
@@ -330,26 +329,25 @@ def _sat_filtration(node) -> bool:
                 truth(xi[1], nval, ntmem, nxmem) != xmem[xi] for xi in xsubs
             ):
                 continue
-            graph.add_edge(i, j)
+            succ[i].append(j)
 
     initial = [
         i for i, (val, tmem, xmem) in enumerate(states) if truth(node, val, tmem, xmem)
     ]
     if not initial:
         return False
-    reachable = set()
-    for i in initial:
-        if i not in reachable:
-            reachable.update(nx.descendants(graph, i))
-            reachable.add(i)
+    reachable = set(initial)
+    frontier = list(initial)
+    while frontier:
+        for j in succ[frontier.pop()]:
+            if j not in reachable:
+                reachable.add(j)
+                frontier.append(j)
 
-    for scc in nx.strongly_connected_components(graph):
-        if not scc & reachable:
+    for members in _sccs(succ):
+        if members[0] not in reachable:  # a component is reached whole or not at all
             continue
-        members = scc
-        has_cycle = len(members) > 1 or any(
-            graph.has_edge(i, i) for i in members
-        )
+        has_cycle = len(members) > 1 or members[0] in succ[members[0]]
         if not has_cycle:
             continue
         fair = all(
@@ -363,6 +361,49 @@ def _sat_filtration(node) -> bool:
         if fair:
             return True
     return False
+
+
+def _sccs(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components of the graph on nodes 0..n-1 with
+    ``succ[i]`` the successors of i (Kosaraju: order the nodes by the time
+    a depth-first search finishes them, then gather each component on the
+    reversed graph, latest finished first)."""
+    n = len(succ)
+    finished: list[int] = []
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if not seen[child]:
+                    seen[child] = True
+                    work.append((child, iter(succ[child])))
+                    break
+            else:
+                work.pop()
+                finished.append(node)
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in succ[i]:
+            pred[j].append(i)
+    placed = [False] * n
+    out: list[list[int]] = []
+    for root in reversed(finished):
+        if placed[root]:
+            continue
+        placed[root] = True
+        members = [root]
+        for node in members:  # grows as it goes: a search on the reversed graph
+            for p in pred[node]:
+                if not placed[p]:
+                    placed[p] = True
+                    members.append(p)
+        out.append(members)
+    return out
 
 
 def elementary_count(f: ltl.Formula) -> int:

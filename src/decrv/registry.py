@@ -13,17 +13,62 @@ monitor labels; references form a DAG whose depth drives verdict latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from importlib import resources
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import ltl
-from .ehe import EAGER, WILDCARD, Trigger, TriggerAnd, TriggerLit, TriggerOr, trigger_labels
+from .base import Record, ValidationError, set_field
+
+
+# --- expansion conditions -------------------------------------------------
+
+
+class TriggerLit(Record):
+    """Matches a received verdict: T(label) or F(label)."""
+
+    __slots__ = __match_args__ = ("label", "want")
+
+    def __init__(self, label: str, want: bool) -> None:
+        set_field(self, "label", label)
+        set_field(self, "want", want)
+
+
+class _Junction(Record):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: "Trigger", right: "Trigger") -> None:
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+
+
+class TriggerAnd(_Junction):
+    __slots__ = ()
+
+
+class TriggerOr(_Junction):
+    __slots__ = ()
+
+
+Trigger = TriggerLit | TriggerAnd | TriggerOr
+
+WILDCARD = "wildcard"
+EAGER = "eager"
 
 Expansion = Union[str, Trigger]  # EAGER, WILDCARD, or an explicit trigger
 
 
-class SpecError(ValueError):
+def trigger_labels(cond: Trigger) -> frozenset[str]:
+    match cond:
+        case TriggerLit(label, _):
+            return frozenset((label,))
+        case TriggerAnd(a, b) | TriggerOr(a, b):
+            return trigger_labels(a) | trigger_labels(b)
+    raise TypeError(f"unknown trigger {cond!r}")
+
+
+# --- declarations ---------------------------------------------------------
+
+
+class SpecError(ValidationError):
     pass
 
 
@@ -45,28 +90,30 @@ class CycleError(SpecError):
         self.cycle = cycle
 
 
-@dataclass(frozen=True)
-class ComponentDecl:
+class ComponentDecl(NamedTuple):
     name: str
     aps: frozenset[str]
 
 
-@dataclass(frozen=True)
-class MonitorDecl:
+class MonitorDecl(NamedTuple):
     label: str
     component: str
     formula: ltl.Formula
     expansion: Expansion = EAGER
 
 
-@dataclass
 class Registry:
     """Validated spec: components, monitors, and the reference DAG."""
 
-    components: dict[str, ComponentDecl]
-    monitors: dict[str, MonitorDecl]
-    depths: dict[str, int] = field(default_factory=dict)
-    _inlined: dict[str, ltl.Formula] = field(default_factory=dict, repr=False)
+    __slots__ = ("components", "monitors", "depths", "_inlined")
+
+    def __init__(
+        self, components: dict[str, ComponentDecl], monitors: dict[str, MonitorDecl]
+    ) -> None:
+        self.components = components
+        self.monitors = monitors
+        self.depths: dict[str, int] = {}
+        self._inlined: dict[str, ltl.Formula] = {}
 
     def references(self, label: str) -> frozenset[str]:
         """Monitor labels mentioned by the labeled monitor's formula."""
@@ -158,25 +205,26 @@ def _validate(
                 raise SpecError(f"trigger of {decl.label!r} names unknown monitor {name!r}")
 
     registry = Registry(components, monitors)
-    depths: dict[str, int] = {}
-    in_progress: list[str] = []
-
-    def visit(label: str) -> int:
-        if label in depths:
-            return depths[label]
-        if label in in_progress:
-            cycle = in_progress[in_progress.index(label) :] + [label]
-            raise CycleError(cycle)
-        in_progress.append(label)
-        refs = registry.references(label)
-        depths[label] = 1 + max(visit(r) for r in refs) if refs else 0
-        in_progress.pop()
-        return depths[label]
-
     for label in monitors:
-        visit(label)
-    registry.depths = depths
+        _depth(registry, label, [])
     return registry
+
+
+def _depth(registry: Registry, label: str, in_progress: list[str]) -> int:
+    """Work out ``registry.depths[label]`` and those of the references
+    below it (a module function: a closure that calls itself is a
+    reference cycle)."""
+    depths = registry.depths
+    if label in depths:
+        return depths[label]
+    if label in in_progress:
+        cycle = in_progress[in_progress.index(label) :] + [label]
+        raise CycleError(cycle)
+    in_progress.append(label)
+    refs = registry.references(label)
+    depths[label] = 1 + max(_depth(registry, r, in_progress) for r in refs) if refs else 0
+    in_progress.pop()
+    return depths[label]
 
 
 # --- parsing --------------------------------------------------------------
@@ -200,46 +248,51 @@ def _parse_trigger(text: str, lineno: int) -> Trigger:
             i = close + 1
         else:
             raise SpecError(f"line {lineno}: bad trigger syntax near {text[i:]!r}")
-    pos = 0
-
-    def peek() -> Optional[str]:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def disjunction() -> Trigger:
-        nonlocal pos
-        node = conjunction()
-        while peek() == "|":
-            pos += 1
-            node = TriggerOr(node, conjunction())
-        return node
-
-    def conjunction() -> Trigger:
-        nonlocal pos
-        node = atom()
-        while peek() == "&":
-            pos += 1
-            node = TriggerAnd(node, atom())
-        return node
-
-    def atom() -> Trigger:
-        nonlocal pos
-        tok = peek()
-        if tok == "(":
-            pos += 1
-            node = disjunction()
-            if peek() != ")":
-                raise SpecError(f"line {lineno}: expected ')' in trigger")
-            pos += 1
-            return node
-        if tok and tok[0] in "TF" and tok.endswith(")"):
-            pos += 1
-            return TriggerLit(tok[2:-1].strip(), tok[0] == "T")
-        raise SpecError(f"line {lineno}: bad trigger token {tok!r}")
-
-    node = disjunction()
-    if pos != len(tokens):
+    parser = _TriggerParser(tokens, lineno)
+    node = parser.disjunction()
+    if parser.pos != len(tokens):
         raise SpecError(f"line {lineno}: trailing trigger tokens")
     return node
+
+
+class _TriggerParser:
+    """Recursive descent over trigger tokens; & binds tighter than |."""
+
+    def __init__(self, tokens: list[str], lineno: int):
+        self.tokens = tokens
+        self.lineno = lineno
+        self.pos = 0
+
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def disjunction(self) -> Trigger:
+        node = self.conjunction()
+        while self.peek() == "|":
+            self.pos += 1
+            node = TriggerOr(node, self.conjunction())
+        return node
+
+    def conjunction(self) -> Trigger:
+        node = self.atom()
+        while self.peek() == "&":
+            self.pos += 1
+            node = TriggerAnd(node, self.atom())
+        return node
+
+    def atom(self) -> Trigger:
+        tok = self.peek()
+        if tok == "(":
+            self.pos += 1
+            node = self.disjunction()
+            if self.peek() != ")":
+                raise SpecError(f"line {self.lineno}: expected ')' in trigger")
+            self.pos += 1
+            return node
+        if tok and tok[0] in "TF" and tok.endswith(")"):
+            self.pos += 1
+            return TriggerLit(tok[2:-1].strip(), tok[0] == "T")
+        raise SpecError(f"line {self.lineno}: bad trigger token {tok!r}")
 
 
 def load_registry(text: str) -> Registry:
@@ -317,5 +370,7 @@ def light_switch_family(rooms: int) -> Registry:
 
 def bundled(name: str) -> Registry:
     """Load a spec file shipped with the package (e.g. ``amiqual``)."""
+    from importlib import resources
+
     text = resources.files("decrv.specs").joinpath(f"{name}.dspec").read_text()
     return load_registry(text)

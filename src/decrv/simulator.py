@@ -14,18 +14,18 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ThreadPoolExecutor  # unused; benchmarks/test_checks.py deletes it
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import ehe as ehe_mod
 from . import synthesis
-from .ehe import EAGER, EHE, WILDCARD
+from .base import Record, ValidationError, set_field
+from .ehe import EHE
 from .memory import Memory
-from .registry import Registry
+from .registry import EAGER, WILDCARD, Registry
 from .verdicts import Verdict
 
 
-class SimulationError(ValueError):
+class SimulationError(ValidationError):
     pass
 
 
@@ -37,19 +37,19 @@ class Message(NamedTuple):
     send_round: int
 
 
-@dataclass(frozen=True)
-class DeliveryPolicy:
+class DeliveryPolicy(Record):
     """immediate: next round; delay: fixed extra rounds; reorder: random
     extra delay in [0, delay], drawn from the simulation seed."""
 
-    mode: str = "immediate"
-    delay: int = 0
+    __slots__ = __match_args__ = ("mode", "delay")
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("immediate", "delay", "reorder"):
-            raise SimulationError(f"unknown delivery mode {self.mode!r}")
-        if self.delay < 0:
+    def __init__(self, mode: str = "immediate", delay: int = 0) -> None:
+        if mode not in ("immediate", "delay", "reorder"):
+            raise SimulationError(f"unknown delivery mode {mode!r}")
+        if delay < 0:
             raise SimulationError("delivery delay must be non-negative")
+        set_field(self, "mode", mode)
+        set_field(self, "delay", delay)
 
     def delivery_round(self, send_round: int, rng: random.Random) -> int:
         if self.mode == "immediate":
@@ -59,22 +59,22 @@ class DeliveryPolicy:
         return send_round + 1 + rng.randint(0, self.delay)
 
 
-@dataclass(frozen=True, slots=True)
-class VerdictRecord:
+class VerdictRecord(NamedTuple):
     verdict: Verdict
     delay: int
     truncated: bool = False
 
 
-@dataclass
-class SimulationReport:
+class SimulationReport(NamedTuple):
+    """Verdict logs and per-round counts of one run."""
+
     rounds: int
     verdicts: dict[str, list[VerdictRecord]]
     messages_per_round: list[int]
     simplifications_per_round: list[int]
     max_ehe_size_per_round: list[int]
     max_ehe_entries_per_round: list[int]
-    memory_per_round: list[int] = field(default_factory=list)
+    memory_per_round: list[int]
 
     @property
     def total_messages(self) -> int:
@@ -146,24 +146,42 @@ class SimulationReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
 class _Node:
     """One monitor for one run: its encoding holds its memory and
     rewrite count, and ``log[t]`` is its verdict about round t, so it
     checks round ``len(log)``."""
 
-    label: str
-    ehe: EHE
-    own_props: frozenset[str]
-    dependents: list[str]
-    expansion: object
-    gc_enabled: bool = True
-    log: list[VerdictRecord] = field(default_factory=list)
-    delivered_now: list[int] = field(default_factory=list)
+    __slots__ = (
+        "label",
+        "ehe",
+        "own_props",
+        "dependents",
+        "expansion",
+        "gc_enabled",
+        "log",
+        "delivered_now",
+    )
+
+    def __init__(
+        self,
+        label: str,
+        ehe: EHE,
+        own_props: frozenset[str],
+        dependents: list[str],
+        expansion: object,
+        gc_enabled: bool,
+    ) -> None:
+        self.label = label
+        self.ehe = ehe
+        self.own_props = own_props
+        self.dependents = dependents
+        self.expansion = expansion
+        self.gc_enabled = gc_enabled
+        self.log: list[VerdictRecord] = []
+        self.delivered_now: list[int] = []
 
 
-@dataclass(frozen=True)
-class SimulationOptions:
+class SimulationOptions(NamedTuple):
     delivery: DeliveryPolicy = DeliveryPolicy()
     seed: int = 0
     gc_enabled: bool = True

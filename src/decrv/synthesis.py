@@ -163,46 +163,49 @@ def _expand(obligations: frozenset, key):
     ``key`` maps a node to its sort key; the disjuncts come sorted by their
     names and node keys, an order independent of the hash seed."""
     results: set = set()
-
-    def go(todo, pos, neg, nxt, delayed):
-        if not todo:
-            results.add((frozenset(pos), frozenset(neg), frozenset(nxt), frozenset(delayed)))
-            return
-        f, rest = todo[0], todo[1:]
-        match f[0]:
-            case "true":
-                go(rest, pos, neg, nxt, delayed)
-            case "false":
-                pass
-            case "lit":
-                _, name, positive = f
-                if positive:
-                    if name in neg:
-                        return
-                    go(rest, pos | {name}, neg, nxt, delayed)
-                else:
-                    if name in pos:
-                        return
-                    go(rest, pos, neg | {name}, nxt, delayed)
-            case "and":
-                go((f[1], f[2]) + rest, pos, neg, nxt, delayed)
-            case "or":
-                go((f[1],) + rest, pos, neg, nxt, delayed)
-                go((f[2],) + rest, pos, neg, nxt, delayed)
-            case "x":
-                go(rest, pos, neg, nxt | {f[1]}, delayed)
-            case "u":
-                go((f[2],) + rest, pos, neg, nxt, delayed)
-                go((f[1],) + rest, pos, neg, nxt | {f}, delayed | {f})
-            case "r":
-                go((f[2], f[1]) + rest, pos, neg, nxt, delayed)
-                go((f[2],) + rest, pos, neg, nxt | {f}, delayed)
-
-    go(tuple(sorted(obligations, key=key)), frozenset(), frozenset(), frozenset(), frozenset())
+    empty = frozenset()
+    _disjuncts(tuple(sorted(obligations, key=key)), empty, empty, empty, empty, results)
     return sorted(
         results,
         key=lambda d: (sorted(d[0]), sorted(d[1]), sorted(map(key, d[2])), sorted(map(key, d[3]))),
     )
+
+
+def _disjuncts(todo, pos, neg, nxt, delayed, results: set) -> None:
+    """Add to ``results`` each disjunct that splitting ``todo`` leads to
+    (a module function: a closure that calls itself is a reference cycle)."""
+    if not todo:
+        results.add((frozenset(pos), frozenset(neg), frozenset(nxt), frozenset(delayed)))
+        return
+    f, rest = todo[0], todo[1:]
+    match f[0]:
+        case "true":
+            _disjuncts(rest, pos, neg, nxt, delayed, results)
+        case "false":
+            pass
+        case "lit":
+            _, name, positive = f
+            if positive:
+                if name in neg:
+                    return
+                _disjuncts(rest, pos | {name}, neg, nxt, delayed, results)
+            else:
+                if name in pos:
+                    return
+                _disjuncts(rest, pos, neg | {name}, nxt, delayed, results)
+        case "and":
+            _disjuncts((f[1], f[2]) + rest, pos, neg, nxt, delayed, results)
+        case "or":
+            _disjuncts((f[1],) + rest, pos, neg, nxt, delayed, results)
+            _disjuncts((f[2],) + rest, pos, neg, nxt, delayed, results)
+        case "x":
+            _disjuncts(rest, pos, neg, nxt | {f[1]}, delayed, results)
+        case "u":
+            _disjuncts((f[2],) + rest, pos, neg, nxt, delayed, results)
+            _disjuncts((f[1],) + rest, pos, neg, nxt | {f}, delayed | {f}, results)
+        case "r":
+            _disjuncts((f[2], f[1]) + rest, pos, neg, nxt, delayed, results)
+            _disjuncts((f[2],) + rest, pos, neg, nxt | {f}, delayed, results)
 
 
 def _untils(node, out: set) -> None:

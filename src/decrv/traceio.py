@@ -13,8 +13,9 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
+
+from .base import Record, set_field
 
 DEFAULT_TOKENS = {"ON": True, "OPEN": True, "OFF": False, "CLOSED": False}
 
@@ -23,18 +24,18 @@ class SensorDataError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SensorLog:
-    times: tuple[int, ...]
-    values: tuple[str, ...]
-    origin: str = ""
+class SensorLog(Record):
+    __slots__ = __match_args__ = ("times", "values", "origin")
 
-    def __post_init__(self) -> None:
-        if len(self.times) != len(self.values):
+    def __init__(self, times: tuple[int, ...], values: tuple[str, ...], origin: str = "") -> None:
+        if len(times) != len(values):
             raise SensorDataError("times and values differ in length")
-        for a, b in zip(self.times, self.times[1:]):
+        for a, b in zip(times, times[1:]):
             if b <= a:
                 raise SensorDataError(f"timestamps not strictly increasing at {b}")
+        set_field(self, "times", times)
+        set_field(self, "values", values)
+        set_field(self, "origin", origin)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -70,8 +71,7 @@ def save_log(path, log: SensorLog) -> None:
             writer.writerow([t, v])
 
 
-@dataclass(frozen=True)
-class BoolKind:
+class BoolKind(NamedTuple):
     tokens: tuple[tuple[str, bool], ...] = tuple(DEFAULT_TOKENS.items())
 
     def interpret(self, raw: str, origin: str) -> bool:
@@ -84,8 +84,7 @@ class BoolKind:
         return "bool"
 
 
-@dataclass(frozen=True)
-class ThresholdKind:
+class ThresholdKind(NamedTuple):
     threshold: float
     above_is_true: bool
 
@@ -108,11 +107,10 @@ class ThresholdKind:
 Kind = Union[BoolKind, ThresholdKind]
 
 
-@dataclass(frozen=True)
-class Periphery:
+class Periphery(NamedTuple):
     ap: str
     source: SensorLog
-    kind: Kind = field(default_factory=BoolKind)
+    kind: Kind = BoolKind()
     default: bool = False
 
     def poll(self, t: int) -> bool:
@@ -134,17 +132,17 @@ class Periphery:
         return out
 
 
-@dataclass(frozen=True)
-class PollConfig:
-    start: int
-    end: int
-    interval: int
+class PollConfig(Record):
+    __slots__ = __match_args__ = ("start", "end", "interval")
 
-    def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise SensorDataError(f"interval must be positive, got {self.interval}")
-        if self.start >= self.end:
+    def __init__(self, start: int, end: int, interval: int) -> None:
+        if interval <= 0:
+            raise SensorDataError(f"interval must be positive, got {interval}")
+        if start >= end:
             raise SensorDataError("poll window start must precede end")
+        set_field(self, "start", start)
+        set_field(self, "end", end)
+        set_field(self, "interval", interval)
 
     def times(self) -> range:
         return range(self.start, self.end, self.interval)
@@ -225,8 +223,7 @@ def _parse_kind(text: str, lineno: int) -> Kind:
 # --- change-rate analysis -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RateRow:
+class RateRow(NamedTuple):
     ap: str
     kind: str
     origin: str
@@ -235,8 +232,7 @@ class RateRow:
     skipped: bool
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     rows: tuple[RateRow, ...]
     min_gap: Optional[int]
     max_gap: Optional[int]

@@ -381,3 +381,37 @@ def test_cli_import_loads_neither_sympy_nor_networkx():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def _loaded_modules(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter that prints ``sys.modules``."""
+    src = os.path.dirname(os.path.dirname(synthesis.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code += "; import sys; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_generates_no_record_code():
+    loaded = _loaded_modules("import decrv.cli")
+    assert "decrv.cli" in loaded
+    assert {"dataclasses", "inspect"} & set(loaded) == set()
+
+
+def test_synth_loads_no_replay_module(tmp_path):
+    argv = ["synth", "--rooms", "2", "--centralized", "sc_ok", "--out", str(tmp_path)]
+    loaded = _loaded_modules(f"from decrv.cli import main; assert main({argv!r}) == 0")
+    assert "decrv.synthesis" in loaded
+    replay = {
+        "decrv.simulator",
+        "decrv.traceio",
+        "decrv.ehe",
+        "decrv.memory",
+        "decrv.evaluation",
+        "concurrent.futures",
+    }
+    assert replay & set(loaded) == set()
+    assert (tmp_path / "sc_ok.txt").exists()

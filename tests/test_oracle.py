@@ -103,3 +103,22 @@ def test_elementary_count_small_for_simple_formulas():
     assert oracle.elementary_count(ltl.parse("p")) == 1
     assert oracle.elementary_count(ltl.parse("G p")) == 2
     assert oracle.elementary_count(ltl.parse("F<=2 p")) >= 3
+
+
+def test_sccs_match_synthesis_sccs():
+    # the oracle's Kosaraju pass against synthesis's Tarjan pass, so the
+    # SCC check runs where networkx is not installed
+    from decrv import synthesis
+
+    rng = random.Random(5)
+    graphs = [[[(i + 1) % 5000] for i in range(5000)]]  # deeper than recursion
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        density = rng.choice((0.05, 0.2, 0.5))
+        graphs.append([[j for j in range(n) if rng.random() < density] for _ in range(n)])
+    for succ in graphs:
+        ours = [frozenset(c) for c in oracle._sccs(succ)]
+        assert sorted(set().union(*ours)) == list(range(len(succ)))  # a partition
+        assert len(ours) == len(set(ours))
+        theirs = {frozenset(c) for c in synthesis._sccs(dict(enumerate(succ)))}
+        assert set(ours) == theirs

@@ -432,6 +432,26 @@ def fresh_tables(monkeypatch):
     return monkeypatch
 
 
+def test_busy_replay_leaves_no_reference_cycle(fresh_tables):
+    # a closure that calls itself is a cycle with its cell, which keeps the
+    # closure's memo alive until the cyclic collector runs; synthesis (the
+    # monitor cache is empty), expansion, narrowing and reports make none
+    trace = benchmark_gen().busy_trace(0, 120)
+    gc.collect()
+    gc.disable()
+    try:
+        registry.bundled("lazy_demo")  # parses triggers
+        reg = registry.bundled("amiqual")
+        options = SimulationOptions(delivery=DeliveryPolicy("reorder", 3))
+        report = run_simulation(reg, trace, options)
+        assert report.verdicts_csv() and report.timeline_tsv()
+        del reg, report
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+
+
 def test_sweeping_on_every_insertion_leaves_reports_unchanged(fresh_tables):
     reg = registry.bundled("amiqual")
     props = sorted(set().union(*(reg.own_props(l) for l in reg.monitors)))
