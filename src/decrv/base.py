@@ -1,18 +1,21 @@
-"""What the other modules share: immutable records, and the error class
-of input that parses but breaks a rule.
+"""What the other modules share: immutable records, and the error classes
+of input that breaks a rule and of work beyond a set capacity.
 
 A record lists its fields in ``__slots__``, which serve as its
-``__match_args__`` too, and its own ``__init__`` sets them with
-``set_field``; no code is generated when the class is defined.
+``__match_args__`` too.  ``Record.__init__``, its one constructor, takes
+one value per field, in order; a record that validates runs its checks
+first.  No code is generated when the class is defined.
 """
 
 from __future__ import annotations
 
-set_field = object.__setattr__  # the one way to set a record's field
-
 
 class ValidationError(ValueError):
     """A spec, trace or run that breaks a rule (the CLI exits 2)."""
+
+
+class CapacityError(RuntimeError):
+    """Work beyond a configured ceiling or time budget (the CLI exits 3)."""
 
 
 class Record:
@@ -22,6 +25,13 @@ class Record:
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        names = self.__match_args__
+        if len(values) != len(names):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(names)} values")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)  # as a frozen dataclass does
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

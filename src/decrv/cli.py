@@ -12,8 +12,8 @@ import sys
 import time
 from typing import TYPE_CHECKING, Optional
 
-from . import ltl, registry, synthesis
-from .base import ValidationError
+from . import ltl, registry
+from .base import CapacityError, ValidationError
 from .verdicts import Verdict
 
 if TYPE_CHECKING:  # imported by the commands that run it
@@ -135,6 +135,8 @@ def cmd_synth(args) -> int:
 
 
 def _synth_one(name: str, formula: ltl.Formula, args) -> None:
+    from . import synthesis
+
     started = time.monotonic()
     raw = synthesis.synthesize(formula, args.max_states, args.timeout)
     monitor = synthesis.minimize(raw)
@@ -184,16 +186,17 @@ def cmd_replay(args) -> int:
     )
     report = simulator.run_simulation(reg, trace, options)
     os.makedirs(args.out, exist_ok=True)
-    outputs = {
-        "verdicts.csv": report.verdicts_csv(),
-        "metrics.csv": report.metrics_csv(),
-        "summary.txt": report.summary_txt(),
-        "timeline.tsv": report.timeline_tsv(),
-    }
-    for filename, text in outputs.items():
+    # each report is written before the next is rendered; summary.txt, last, is printed
+    for filename, render in (
+        ("verdicts.csv", report.verdicts_csv),
+        ("metrics.csv", report.metrics_csv),
+        ("timeline.tsv", report.timeline_tsv),
+        ("summary.txt", report.summary_txt),
+    ):
+        text = render()
         with open(os.path.join(args.out, filename), "w", encoding="utf-8") as f:
             f.write(text)
-    print(report.summary_txt(), end="")
+    print(text, end="")
     return EXIT_OK
 
 
@@ -277,7 +280,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_OK if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except synthesis.SynthesisCapacityError as exc:
+    except CapacityError as exc:
         print(f"decrv: capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except ValidationError as exc:

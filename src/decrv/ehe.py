@@ -7,7 +7,8 @@ constant true, the state (and hence the verdict) at that round is certain.
 
 Expansion conditions gate *when* the encoding is expanded: eagerly every
 round, on an explicit trigger over received-verdict literals, or on any
-message arrival (wildcard).
+message arrival (wildcard).  ``decrv.registry`` parses and defines the
+trigger syntax; ``sadv`` evaluates a trigger against the memory.
 
 One pass per step: ``smove`` narrows the rows if the memory changed,
 then expands and scans each new row in one loop, so each row grows from a
@@ -59,15 +60,7 @@ from typing import Optional
 from . import expr, synthesis
 from .expr import Atom, BoolExpr, SimplifyStats
 from .memory import Memory
-from .registry import (  # the trigger syntax, re-exported: registry parses it
-    EAGER,
-    WILDCARD,
-    Trigger,
-    TriggerAnd,
-    TriggerLit,
-    TriggerOr,
-    trigger_labels,
-)
+from .registry import Trigger, TriggerAnd, TriggerLit, TriggerOr
 from .verdicts import Verdict
 
 

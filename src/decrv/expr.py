@@ -205,11 +205,6 @@ def disj(terms: Iterable[BoolExpr]) -> BoolExpr:
     return result
 
 
-def size(e: BoolExpr) -> int:
-    """Total node count of the tree."""
-    return e.size
-
-
 def flatten(e: BoolExpr, cls) -> list[BoolExpr]:
     """Operands of a same-connective chain, left to right."""
     out: list[BoolExpr] = []

@@ -10,7 +10,7 @@ decides which identifiers name monitors.
 
 from __future__ import annotations
 
-from .base import Record, set_field
+from .base import Record
 
 
 class Formula(Record):
@@ -25,30 +25,17 @@ class Formula(Record):
 class Const(Formula):
     __slots__ = __match_args__ = ("value",)
 
-    def __init__(self, value: bool) -> None:
-        set_field(self, "value", value)
-
 
 class Prop(Formula):
     __slots__ = __match_args__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        set_field(self, "name", name)
 
 
 class _Unary(Formula):
     __slots__ = __match_args__ = ("operand",)
 
-    def __init__(self, operand: Formula) -> None:
-        set_field(self, "operand", operand)
-
 
 class _Binary(Formula):
     __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula) -> None:
-        set_field(self, "left", left)
-        set_field(self, "right", right)
 
 
 class _Window(Formula):
@@ -57,8 +44,7 @@ class _Window(Formula):
     def __init__(self, bound: int, operand: Formula) -> None:
         if bound < 0:
             raise ValueError(f"negative bound {bound}")
-        set_field(self, "bound", bound)
-        set_field(self, "operand", operand)
+        super().__init__(bound, operand)
 
 
 class Not(_Unary):
@@ -282,112 +268,68 @@ def parse(text: str) -> Formula:
     return _Parser(text).parse()
 
 
+def _rebuild(f: Formula, fn) -> Formula:
+    """A leaf as it is; any other node built again with ``fn`` applied to
+    each operand."""
+    if isinstance(f, (Const, Prop)):
+        return f
+    return f.__class__(*[fn(v) if isinstance(v, Formula) else v for v in f._values()])
+
+
+def _operands(f: Formula) -> list[Formula]:
+    """The fields of ``f`` that are formulas (none for a leaf)."""
+    return [v for v in f._values() if isinstance(v, Formula)]
+
+
 def desugar(f: Formula) -> Formula:
     """Lower F<=n, G<=n and -> to the core connectives."""
     match f:
-        case Const() | Prop():
-            return f
-        case Not(a):
-            return Not(desugar(a))
-        case And(a, b):
-            return And(desugar(a), desugar(b))
-        case Or(a, b):
-            return Or(desugar(a), desugar(b))
         case Implies(a, b):
             return Or(Not(desugar(a)), desugar(b))
-        case Next(a):
-            return Next(desugar(a))
-        case Until(a, b):
-            return Until(desugar(a), desugar(b))
-        case Globally(a):
-            return Globally(desugar(a))
-        case Finally(a):
-            return Finally(desugar(a))
         case FinallyWithin(bound, a):
             return _window(Or, bound, desugar(a))
         case GloballyWithin(bound, a):
             return _window(And, bound, desugar(a))
-    raise TypeError(f"unknown node {f!r}")
+    return _rebuild(f, desugar)
 
 
 def _window(op, bound: int, sub: Formula) -> Formula:
-    terms = []
-    for i in range(bound + 1):
-        t = sub
-        for _ in range(i):
-            t = Next(t)
-        terms.append(t)
-    result = terms[-1]
-    for t in reversed(terms[:-1]):
-        result = op(t, result)
+    terms = [sub]
+    for _ in range(bound):
+        terms.append(Next(terms[-1]))
+    result = terms.pop()
+    while terms:
+        result = op(terms.pop(), result)
     return result
 
 
 def propositions(f: Formula) -> frozenset[str]:
     """All proposition / monitor-reference names occurring in the formula."""
-    match f:
-        case Const():
-            return frozenset()
-        case Prop(name):
-            return frozenset((name,))
-        case Not(a) | Next(a) | Globally(a) | Finally(a):
-            return propositions(a)
-        case FinallyWithin(_, a) | GloballyWithin(_, a):
-            return propositions(a)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Until(a, b):
-            return propositions(a) | propositions(b)
-    raise TypeError(f"unknown node {f!r}")
+    if isinstance(f, Prop):
+        return frozenset((f.name,))
+    return frozenset().union(*[propositions(g) for g in _operands(f)])
 
 
 def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
     """Replace named leaves by formulas (used to inline monitor references)."""
-    match f:
-        case Const():
-            return f
-        case Prop(name):
-            return mapping.get(name, f)
-        case Not(a):
-            return Not(substitute(a, mapping))
-        case Next(a):
-            return Next(substitute(a, mapping))
-        case Globally(a):
-            return Globally(substitute(a, mapping))
-        case Finally(a):
-            return Finally(substitute(a, mapping))
-        case FinallyWithin(bound, a):
-            return FinallyWithin(bound, substitute(a, mapping))
-        case GloballyWithin(bound, a):
-            return GloballyWithin(bound, substitute(a, mapping))
-        case And(a, b):
-            return And(substitute(a, mapping), substitute(b, mapping))
-        case Or(a, b):
-            return Or(substitute(a, mapping), substitute(b, mapping))
-        case Implies(a, b):
-            return Implies(substitute(a, mapping), substitute(b, mapping))
-        case Until(a, b):
-            return Until(substitute(a, mapping), substitute(b, mapping))
-    raise TypeError(f"unknown node {f!r}")
+    if isinstance(f, Prop):
+        return mapping.get(f.name, f)
+    return _rebuild(f, lambda g: substitute(g, mapping))
 
 
 def bounded_horizon(f: Formula) -> int | None:
     """Max X-nesting depth after desugaring, or None if G/F/U make it unbounded."""
     match f:
-        case Const() | Prop():
-            return 0
-        case Not(a):
-            return bounded_horizon(a)
-        case Next(a):
-            h = bounded_horizon(a)
-            return None if h is None else h + 1
-        case FinallyWithin(bound, a) | GloballyWithin(bound, a):
-            h = bounded_horizon(a)
-            return None if h is None else h + bound
-        case And(a, b) | Or(a, b) | Implies(a, b):
-            ha, hb = bounded_horizon(a), bounded_horizon(b)
-            return None if ha is None or hb is None else max(ha, hb)
         case Until() | Globally() | Finally():
             return None
-    raise TypeError(f"unknown node {f!r}")
+        case Next():
+            own = 1
+        case FinallyWithin(bound, _) | GloballyWithin(bound, _):
+            own = bound
+        case _:
+            own = 0
+    below = [bounded_horizon(g) for g in _operands(f)]
+    return None if None in below else own + max(below, default=0)
 
 
 def render(f: Formula) -> str:

@@ -13,10 +13,11 @@ monitor labels; references form a DAG whose depth drives verdict latency.
 
 from __future__ import annotations
 
+import os
 from typing import NamedTuple, Optional, Union
 
 from . import ltl
-from .base import Record, ValidationError, set_field
+from .base import Record, ValidationError
 
 
 # --- expansion conditions -------------------------------------------------
@@ -27,17 +28,9 @@ class TriggerLit(Record):
 
     __slots__ = __match_args__ = ("label", "want")
 
-    def __init__(self, label: str, want: bool) -> None:
-        set_field(self, "label", label)
-        set_field(self, "want", want)
-
 
 class _Junction(Record):
     __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left: "Trigger", right: "Trigger") -> None:
-        set_field(self, "left", left)
-        set_field(self, "right", right)
 
 
 class TriggerAnd(_Junction):
@@ -125,9 +118,6 @@ class Registry:
     def ref_only(self, label: str) -> bool:
         """True when the alphabet consists solely of monitor references."""
         return bool(self.references(label)) and not self.own_props(label)
-
-    def depth(self, label: str) -> int:
-        return self.depths[label]
 
     def edges(self) -> list[tuple[str, str]]:
         """(source, dependent) pairs: source's verdicts feed the dependent."""
@@ -369,8 +359,6 @@ def light_switch_family(rooms: int) -> Registry:
 
 
 def bundled(name: str) -> Registry:
-    """Load a spec file shipped with the package (e.g. ``amiqual``)."""
-    from importlib import resources
-
-    text = resources.files("decrv.specs").joinpath(f"{name}.dspec").read_text()
-    return load_registry(text)
+    """Load a spec file shipped with the package (e.g. ``amiqual``); an
+    unknown name raises ``FileNotFoundError``."""
+    return load_registry_file(os.path.join(os.path.dirname(__file__), "specs", f"{name}.dspec"))

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from . import ehe as ehe_mod
 from . import synthesis
-from .base import Record, ValidationError, set_field
+from .base import Record, ValidationError
 from .ehe import EHE
 from .memory import Memory
 from .registry import EAGER, WILDCARD, Registry
@@ -48,8 +48,7 @@ class DeliveryPolicy(Record):
             raise SimulationError(f"unknown delivery mode {mode!r}")
         if delay < 0:
             raise SimulationError("delivery delay must be non-negative")
-        set_field(self, "mode", mode)
-        set_field(self, "delay", delay)
+        super().__init__(mode, delay)
 
     def delivery_round(self, send_round: int, rng: random.Random) -> int:
         if self.mode == "immediate":

@@ -28,13 +28,14 @@ from collections import deque
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import expr, ltl
+from .base import CapacityError
 from .verdicts import Verdict
 
 DEFAULT_MAX_STATES = 2**20
 MAX_ALPHABET = 16
 
 
-class SynthesisCapacityError(RuntimeError):
+class SynthesisCapacityError(CapacityError):
     """Construction exceeded the configured state ceiling."""
 
 

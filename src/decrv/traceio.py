@@ -15,7 +15,7 @@ import math
 import os
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .base import Record, set_field
+from .base import Record
 
 DEFAULT_TOKENS = {"ON": True, "OPEN": True, "OFF": False, "CLOSED": False}
 
@@ -33,9 +33,7 @@ class SensorLog(Record):
         for a, b in zip(times, times[1:]):
             if b <= a:
                 raise SensorDataError(f"timestamps not strictly increasing at {b}")
-        set_field(self, "times", times)
-        set_field(self, "values", values)
-        set_field(self, "origin", origin)
+        super().__init__(times, values, origin)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -140,16 +138,10 @@ class PollConfig(Record):
             raise SensorDataError(f"interval must be positive, got {interval}")
         if start >= end:
             raise SensorDataError("poll window start must precede end")
-        set_field(self, "start", start)
-        set_field(self, "end", end)
-        set_field(self, "interval", interval)
+        super().__init__(start, end, interval)
 
     def times(self) -> range:
         return range(self.start, self.end, self.interval)
-
-    @property
-    def n_rounds(self) -> int:
-        return len(self.times())
 
 
 def poll_trace(peripheries: Sequence[Periphery], config: PollConfig) -> list[dict[str, bool]]:

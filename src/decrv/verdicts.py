@@ -16,9 +16,5 @@ class Verdict(enum.Enum):
     def final(self) -> bool:
         return self is not Verdict.UNKNOWN
 
-    @staticmethod
-    def of(value: bool) -> "Verdict":
-        return Verdict.TRUE if value else Verdict.FALSE
-
     def __str__(self) -> str:
         return self.value

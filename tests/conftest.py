@@ -8,7 +8,7 @@ import os
 import random
 
 from decrv import expr, ltl, registry
-from decrv.ehe import EAGER, WILDCARD, TriggerLit, TriggerOr
+from decrv.registry import EAGER, WILDCARD, TriggerLit, TriggerOr
 from decrv.simulator import DeliveryPolicy, SimulationOptions
 
 

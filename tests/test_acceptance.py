@@ -155,7 +155,7 @@ def test_criterion_4_table_reproduction_exact():
     assert len(TABLE_ROWS) >= 22
     for label, dec, cent, depth in TABLE_ROWS:
         assert reg.ap_counts(label) == (dec, cent), label
-        assert reg.depth(label) == depth, label
+        assert reg.depths[label] == depth, label
 
 
 def _steady_measured(reg, rounds=120, warmup=40):

@@ -383,14 +383,15 @@ def test_cli_import_loads_neither_sympy_nor_networkx():
     assert out.stdout.strip() == "[]"
 
 
-def _loaded_modules(code: str) -> list[str]:
-    """Run ``code`` in a fresh interpreter that prints ``sys.modules``."""
+def _loaded_modules(code: str, *flags: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter, started with ``flags``, that
+    prints ``sys.modules``."""
     src = os.path.dirname(os.path.dirname(synthesis.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code += "; import sys; print(' '.join(sorted(sys.modules)))"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return out.stdout.splitlines()[-1].split()
 
@@ -415,3 +416,22 @@ def test_synth_loads_no_replay_module(tmp_path):
     }
     assert replay & set(loaded) == set()
     assert (tmp_path / "sc_ok.txt").exists()
+
+
+def test_rates_and_eval_load_no_synthesis(workspace):
+    (workspace / "verdicts.csv").write_text("round,label,verdict,delay\n0,light,TRUE,0\n")
+    (workspace / "ann.csv").write_text("light,0,0\n")
+    rates = ["rates", str(workspace / "sensors.manifest"), str(workspace / "pair.dspec")]
+    evals = ["eval", str(workspace / "verdicts.csv"), str(workspace / "ann.csv")]
+    loaded = _loaded_modules(
+        f"from decrv.cli import main; assert main({rates!r}) == 0; assert main({evals!r}) == 0"
+    )
+    assert {"decrv.traceio", "decrv.evaluation"} <= set(loaded)
+    assert "decrv.synthesis" not in loaded
+
+
+def test_bundled_spec_loads_without_importlib_resources():
+    # -S: no site hooks, which may import importlib.resources themselves
+    loaded = _loaded_modules("from decrv import registry; registry.bundled('amiqual')", "-S")
+    assert "decrv.registry" in loaded
+    assert "importlib.resources" not in loaded

@@ -4,9 +4,10 @@ import itertools
 import random
 
 from decrv import ehe, expr, ltl, synthesis
-from decrv.ehe import EHE, TriggerAnd, TriggerLit, TriggerOr, sadv, sadvs
+from decrv.ehe import EHE, sadv, sadvs
 from decrv.expr import Atom
 from decrv.memory import Memory
+from decrv.registry import TriggerAnd, TriggerLit, TriggerOr
 from decrv.verdicts import Verdict
 
 from conftest import all_events, random_formula, random_trace, seval

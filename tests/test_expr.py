@@ -28,9 +28,9 @@ def test_hash_consing_gives_identity():
 
 
 def test_size():
-    assert expr.size(expr.BTRUE) == 1
-    assert expr.size(expr.bor(A, B)) == 3
-    assert expr.size(expr.bnot(expr.band(A, expr.bor(B, C)))) == 6
+    assert expr.BTRUE.size == 1
+    assert expr.bor(A, B).size == 3
+    assert expr.bnot(expr.band(A, expr.bor(B, C))).size == 6
 
 
 def test_flatten_orders_left_to_right():
@@ -139,7 +139,7 @@ def test_simplify_preserves_truth_table(e):
 
 @given(exprs())
 def test_simplify_never_grows(e):
-    assert expr.size(expr.simplify(e)) <= expr.size(e)
+    assert expr.simplify(e).size <= e.size
 
 
 @given(exprs())

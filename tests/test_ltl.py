@@ -177,3 +177,22 @@ def test_desugar_idempotent(f):
 @given(formulas())
 def test_desugar_preserves_propositions(f):
     assert ltl.propositions(ltl.desugar(f)) == ltl.propositions(f)
+
+
+@given(formulas())
+def test_desugar_preserves_bounded_horizon(f):
+    assert ltl.bounded_horizon(ltl.desugar(f)) == ltl.bounded_horizon(f)
+
+
+@given(formulas(), st.sampled_from(["a", "b", "c"]), formulas(depth=2))
+def test_substitute_replaces_exactly_the_leaf(f, p, g):
+    got = ltl.substitute(f, {p: g})
+    if p in ltl.propositions(f):
+        assert ltl.propositions(got) == ltl.propositions(f) - {p} | ltl.propositions(g)
+    else:
+        assert got == f
+
+
+@given(formulas())
+def test_substitute_nothing_is_identity(f):
+    assert ltl.substitute(f, {}) == f

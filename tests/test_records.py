@@ -5,8 +5,7 @@ no assignment, and the validations of their constructors."""
 import pytest
 
 from decrv import ltl, traceio
-from decrv.ehe import TriggerAnd, TriggerLit, TriggerOr
-from decrv.registry import SpecError
+from decrv.registry import SpecError, TriggerAnd, TriggerLit, TriggerOr
 from decrv.simulator import DeliveryPolicy, SimulationError
 
 P = ltl.Prop("p")
@@ -95,6 +94,22 @@ def test_constructors_validate():
         traceio.SensorLog((2, 1), ("ON", "OFF"))
     with pytest.raises(traceio.SensorDataError, match="interval must be positive"):
         traceio.PollConfig(0, 10, 0)
+
+
+@pytest.mark.parametrize(
+    "cls, values",
+    [
+        (ltl.Prop, ()),
+        (ltl.Prop, ("a", "b")),
+        (ltl.And, (P,)),
+        (ltl.Not, (P, P)),
+        (TriggerLit, ("a", True, False)),
+        (TriggerOr, (TriggerLit("a", True),)),
+    ],
+)
+def test_constructor_takes_one_value_per_field(cls, values):
+    with pytest.raises(TypeError, match=f"^{cls.__qualname__} takes {len(cls.__match_args__)} values"):
+        cls(*values)
 
 
 def test_validation_errors_share_one_base():

@@ -1,14 +1,20 @@
 """Spec registry: grammar, validation errors, hierarchy queries."""
 
+import re
+
 import pytest
 
 from decrv import ltl, registry
-from decrv.ehe import EAGER, WILDCARD, TriggerAnd, TriggerLit, TriggerOr
 from decrv.registry import (
+    EAGER,
+    WILDCARD,
     AlphabetError,
     CycleError,
     DuplicateLabelError,
     SpecError,
+    TriggerAnd,
+    TriggerLit,
+    TriggerOr,
     UnknownComponentError,
     bundled,
     light_switch_family,
@@ -42,8 +48,8 @@ def test_references_and_own_props():
 
 def test_depth_and_edges():
     reg = load_registry(PAIR)
-    assert reg.depth("light") == 0
-    assert reg.depth("sc_light") == 1
+    assert reg.depths["light"] == 0
+    assert reg.depths["sc_light"] == 1
     assert reg.edges() == [("light", "sc_light")]
     assert reg.dependents("light") == ["sc_light"]
     assert reg.dependents("sc_light") == []
@@ -91,7 +97,7 @@ def test_restrict_keeps_transitive_references():
     reg = load_registry(text)
     sub = reg.restrict(["sc_light"])
     assert set(sub.monitors) == {"light", "sc_light"}
-    assert sub.depth("sc_light") == 1
+    assert sub.depths["sc_light"] == 1
     with pytest.raises(SpecError):
         reg.restrict(["nope"])
 
@@ -125,6 +131,23 @@ monitor m1 @ c := a | m0 trigger { (T(m0) & F(m0)) | T(m1) }
         TriggerAnd(TriggerLit("m0", True), TriggerLit("m0", False)),
         TriggerLit("m1", True),
     )
+
+
+@pytest.mark.parametrize(
+    "clause, message",
+    [
+        ("T(m0", "unclosed trigger literal"),
+        ("T(m0) ! T(m0)", "bad trigger syntax near '! T(m0)"),
+        ("(T(m0) | F(m0)", "expected ')' in trigger"),
+        ("T(m0) &", "bad trigger token None"),
+        ("| T(m0)", "bad trigger token '|'"),
+        ("T(m0) T(m0)", "trailing trigger tokens"),
+    ],
+)
+def test_trigger_syntax_errors_name_the_line(clause, message):
+    text = f"component c {{ a }}\nmonitor m0 @ c := a\nmonitor m1 @ c := m0 trigger {{ {clause} }}"
+    with pytest.raises(SpecError, match=f"^line 3: {re.escape(message)}"):
+        load_registry(text)
 
 
 def test_duplicate_label_rejected():
@@ -181,7 +204,7 @@ def test_light_switch_family():
         "light_0", "light_1", "light_2",
         "sc_light_0", "sc_light_1", "sc_light_2", "sc_ok",
     }
-    assert reg.depth("sc_ok") == 2
+    assert reg.depths["sc_ok"] == 2
     assert reg.ref_only("sc_ok")
     assert reg.ap_counts("sc_ok") == (3, 6)
     with pytest.raises(SpecError):
@@ -191,7 +214,7 @@ def test_light_switch_family():
 def test_bundled_amiqual_loads():
     reg = bundled("amiqual")
     assert "firehazard" in reg.monitors
-    assert reg.depth("sc_ok") == 2
+    assert reg.depths["sc_ok"] == 2
 
 
 def test_bundled_table():
@@ -226,7 +249,7 @@ def test_bundled_table():
     reg = bundled("amiqual")
     for label, (dec, cent, depth) in expected.items():
         assert reg.ap_counts(label) == (dec, cent), label
-        assert reg.depth(label) == depth, label
+        assert reg.depths[label] == depth, label
 
 
 def test_bundled_variants_are_restrictions():

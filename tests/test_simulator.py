@@ -266,7 +266,7 @@ monitor m1 @ c0 := a & X m0
         trace = random_trace(rng, ["a", "b"], 20)
         report = run_simulation(reg, trace)
         horizon = reg.horizon("m1")
-        depth = reg.depth("m1")
+        depth = reg.depths["m1"]
         for t, rec in enumerate(report.verdicts["m1"]):
             if not rec.truncated:
                 assert rec.delay <= horizon + depth + 1, (t, rec)

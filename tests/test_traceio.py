@@ -100,7 +100,7 @@ def test_threshold_rejects_non_numeric():
 def test_poll_config():
     cfg = PollConfig(0, 10, 2)
     assert list(cfg.times()) == [0, 2, 4, 6, 8]
-    assert cfg.n_rounds == 5
+    assert len(cfg.times()) == 5
     with pytest.raises(SensorDataError):
         PollConfig(0, 10, 0)
     with pytest.raises(SensorDataError):
