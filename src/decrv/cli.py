@@ -207,9 +207,7 @@ def cmd_rates(args) -> int:
     used = None
     if args.spec:
         reg = _load_spec(args.spec)
-        used = set()
-        for label in reg.monitors:
-            used |= reg.own_props(label)
+        used = set().union(*reg.own.values())
     report = traceio.rate_analysis(peripheries, used)
     print("ap\ttype\tfile\tmin\tmax\tskipped")
     for row in report.rows:

@@ -47,46 +47,45 @@ class BoolExpr:
     # that no node references itself
     __slots__ = ("size", "_simp")
 
+    def __str__(self) -> str:
+        return render(self)
+
 
 class BConst(BoolExpr):
     __slots__ = ("value",)
-
-    def __str__(self) -> str:
-        return "true" if self.value else "false"
 
 
 class BAtom(BoolExpr):
     __slots__ = ("atom",)
 
-    def __str__(self) -> str:
-        return str(self.atom)
-
 
 class BNot(BoolExpr):
     __slots__ = ("operand",)
-
-    def __str__(self) -> str:
-        return f"!{_wrap(self.operand)}"
 
 
 class BAnd(BoolExpr):
     __slots__ = ("left", "right")
 
-    def __str__(self) -> str:
-        return " & ".join(_wrap(t) for t in flatten(self, BAnd))
-
 
 class BOr(BoolExpr):
     __slots__ = ("left", "right")
 
-    def __str__(self) -> str:
-        return " | ".join(_wrap(t) for t in flatten(self, BOr))
 
-
-def _wrap(e: BoolExpr) -> str:
-    if isinstance(e, (BAnd, BOr)):
-        return f"({e})"
-    return str(e)
+def render(e: BoolExpr, atom_text=str) -> str:
+    """Infix text, chains flattened and nested chains parenthesised;
+    ``atom_text`` renders each atom (guard exports pass bare names)."""
+    if isinstance(e, BConst):
+        return "true" if e.value else "false"
+    if isinstance(e, BAtom):
+        return atom_text(e.atom)
+    if isinstance(e, BNot):
+        prefix, sep, operands = "!", "", [e.operand]
+    else:
+        prefix, sep, operands = "", " & " if isinstance(e, BAnd) else " | ", flatten(e, type(e))
+    return prefix + sep.join(
+        f"({render(t, atom_text)})" if isinstance(t, (BAnd, BOr)) else render(t, atom_text)
+        for t in operands
+    )
 
 
 # the pass memo of a node that every pass leaves as it is
@@ -345,34 +344,19 @@ def substitute_atoms(e: BoolExpr, lookup, memo: Optional[dict] = None) -> BoolEx
 
     ``memo`` (``id(node) -> (node, result)``) may be shared by calls with
     the same lookup; it holds each key node so that its id is not reused."""
-    return _substitute(e, lookup, {} if memo is None else memo)
 
-
-# The recursive halves of ``substitute_atoms`` and ``stamp`` are module
-# functions, not closures: a closure that calls itself is a reference
-# cycle, which would keep its memo alive until the cyclic collector runs.
-
-
-def _substitute(node: BoolExpr, lookup, memo: dict) -> BoolExpr:
-    cached = memo.get(id(node))
-    if cached is not None:
-        return cached[1]
-    if isinstance(node, BConst):
-        out = node
-    elif isinstance(node, BAtom):
+    def leaf(node: BAtom) -> BoolExpr:
         v = lookup(node.atom)
-        out = node if v is None else bconst(v)
-    elif isinstance(node, BNot):
-        a = _substitute(node.operand, lookup, memo)
-        out = node if a is node.operand else bnot(a)
-    elif isinstance(node, BAnd):
-        l, r = _substitute(node.left, lookup, memo), _substitute(node.right, lookup, memo)
-        out = node if (l is node.left and r is node.right) else band(l, r)
-    else:
-        l, r = _substitute(node.left, lookup, memo), _substitute(node.right, lookup, memo)
-        out = node if (l is node.left and r is node.right) else bor(l, r)
-    memo[id(node)] = (node, out)
-    return out
+        return node if v is None else bconst(v)
+
+    return _map_atoms(e, leaf, {} if memo is None else memo)
+
+
+def stamp(e: BoolExpr, offset: int) -> BoolExpr:
+    """Shift every atom timestamp by ``offset`` (guard templates use time 0)."""
+    if offset == 0:
+        return e
+    return _map_atoms(e, lambda node: batom(Atom(node.atom.time + offset, node.atom.name)), {})
 
 
 # not a function: benchmarks/test_checks.py looks up every name the tracer
@@ -380,26 +364,26 @@ def _substitute(node: BoolExpr, lookup, memo: dict) -> BoolExpr:
 seval = None
 
 
-def stamp(e: BoolExpr, offset: int) -> BoolExpr:
-    """Shift every atom timestamp by ``offset`` (guard templates use time 0)."""
-    if offset == 0:
-        return e
-    return _stamp(e, offset, {})
-
-
-def _stamp(node: BoolExpr, offset: int, memo: dict[int, BoolExpr]) -> BoolExpr:
+def _map_atoms(node: BoolExpr, leaf, memo: dict) -> BoolExpr:
+    """``node`` with each atom node replaced by ``leaf(atom node)``; a node
+    whose operands map to themselves is returned as it is.  A module
+    function, not a closure: a closure that calls itself is a reference
+    cycle, which would keep its memo alive until the cyclic collector runs."""
     cached = memo.get(id(node))
     if cached is not None:
-        return cached
+        return cached[1]
     if isinstance(node, BConst):
         out = node
     elif isinstance(node, BAtom):
-        out = batom(Atom(node.atom.time + offset, node.atom.name))
+        out = leaf(node)
     elif isinstance(node, BNot):
-        out = bnot(_stamp(node.operand, offset, memo))
-    elif isinstance(node, BAnd):
-        out = band(_stamp(node.left, offset, memo), _stamp(node.right, offset, memo))
+        a = _map_atoms(node.operand, leaf, memo)
+        out = node if a is node.operand else bnot(a)
     else:
-        out = bor(_stamp(node.left, offset, memo), _stamp(node.right, offset, memo))
-    memo[id(node)] = out
+        l, r = _map_atoms(node.left, leaf, memo), _map_atoms(node.right, leaf, memo)
+        if l is node.left and r is node.right:
+            out = node
+        else:
+            out = band(l, r) if isinstance(node, BAnd) else bor(l, r)
+    memo[id(node)] = (node, out)
     return out

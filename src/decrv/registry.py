@@ -96,54 +96,38 @@ class MonitorDecl(NamedTuple):
 
 
 class Registry:
-    """Validated spec: components, monitors, and the reference DAG."""
+    """Validated spec: components, monitors, and the reference DAG, worked
+    out once at load.  Per monitor label l: ``refs[l]``, the labels that
+    l's formula names; ``own[l]``, l's own propositions (sorted);
+    ``dependents[l]``, the monitors that name l (sorted); ``depths[l]``,
+    the longest reference chain below l."""
 
-    __slots__ = ("components", "monitors", "depths", "_inlined")
+    __slots__ = ("components", "monitors", "refs", "own", "dependents", "depths", "_inlined")
 
     def __init__(
         self, components: dict[str, ComponentDecl], monitors: dict[str, MonitorDecl]
     ) -> None:
         self.components = components
         self.monitors = monitors
+        self.refs: dict[str, frozenset[str]] = {}
+        self.own: dict[str, tuple[str, ...]] = {}
+        self.dependents: dict[str, list[str]] = {label: [] for label in monitors}
         self.depths: dict[str, int] = {}
         self._inlined: dict[str, ltl.Formula] = {}
-
-    def references(self, label: str) -> frozenset[str]:
-        """Monitor labels mentioned by the labeled monitor's formula."""
-        return ltl.propositions(self.monitors[label].formula) & self.monitors.keys()
-
-    def own_props(self, label: str) -> frozenset[str]:
-        return ltl.propositions(self.monitors[label].formula) - self.monitors.keys()
-
-    def ref_only(self, label: str) -> bool:
-        """True when the alphabet consists solely of monitor references."""
-        return bool(self.references(label)) and not self.own_props(label)
-
-    def edges(self) -> list[tuple[str, str]]:
-        """(source, dependent) pairs: source's verdicts feed the dependent."""
-        out = []
-        for label in self.monitors:
-            for ref in sorted(self.references(label)):
-                out.append((ref, label))
-        return out
-
-    def dependents(self, label: str) -> list[str]:
-        return sorted(l for l in self.monitors if label in self.references(l))
 
     def inline(self, label: str) -> ltl.Formula:
         """Formula with every reference recursively replaced."""
         got = self._inlined.get(label)
         if got is None:
-            mapping = {ref: self.inline(ref) for ref in self.references(label)}
+            mapping = {ref: self.inline(ref) for ref in self.refs[label]}
             got = ltl.substitute(self.monitors[label].formula, mapping)
             self._inlined[label] = got
         return got
 
     def ap_counts(self, label: str) -> tuple[int, int]:
         """(decentralized, centralized) proposition counts for the label."""
-        decentralized = len(ltl.propositions(self.monitors[label].formula))
-        centralized = len(ltl.propositions(self.inline(label)))
-        return decentralized, centralized
+        decentralized = len(self.refs[label]) + len(self.own[label])
+        return decentralized, len(ltl.propositions(self.inline(label)))
 
     def horizon(self, label: str) -> Optional[int]:
         """X-nesting depth of the inlined formula; None when unbounded."""
@@ -160,7 +144,7 @@ class Registry:
             if label not in self.monitors:
                 raise SpecError(f"unknown monitor {label!r}")
             keep.add(label)
-            frontier.extend(self.references(label))
+            frontier.extend(self.refs[label])
         monitors = {l: d for l, d in self.monitors.items() if l in keep}
         return _validate(dict(self.components), monitors)
 
@@ -178,14 +162,16 @@ def _validate(
                     f"proposition {ap!r} in both {seen_aps[ap]!r} and {comp.name!r}"
                 )
             seen_aps[ap] = comp.name
+    registry = Registry(components, monitors)
     labels = set(monitors)
     for decl in monitors.values():
         if decl.component not in components:
             raise UnknownComponentError(
                 f"monitor {decl.label!r} attached to unknown component {decl.component!r}"
             )
+        props = ltl.propositions(decl.formula)
         allowed = components[decl.component].aps | (labels - {decl.label})
-        for name in sorted(ltl.propositions(decl.formula) - allowed):
+        for name in sorted(props - allowed):
             raise AlphabetError(
                 f"monitor {decl.label!r} uses {name!r}, which is neither a "
                 f"proposition of component {decl.component!r} nor another monitor"
@@ -193,8 +179,13 @@ def _validate(
         if not isinstance(decl.expansion, str):
             for name in sorted(trigger_labels(decl.expansion) - labels):
                 raise SpecError(f"trigger of {decl.label!r} names unknown monitor {name!r}")
+        registry.refs[decl.label] = refs = props & labels
+        registry.own[decl.label] = tuple(sorted(props - refs))
+        for ref in refs:
+            registry.dependents[ref].append(decl.label)
 
-    registry = Registry(components, monitors)
+    for dependents in registry.dependents.values():
+        dependents.sort()
     for label in monitors:
         _depth(registry, label, [])
     return registry
@@ -211,7 +202,7 @@ def _depth(registry: Registry, label: str, in_progress: list[str]) -> int:
         cycle = in_progress[in_progress.index(label) :] + [label]
         raise CycleError(cycle)
     in_progress.append(label)
-    refs = registry.references(label)
+    refs = registry.refs[label]
     depths[label] = 1 + max(_depth(registry, r, in_progress) for r in refs) if refs else 0
     in_progress.pop()
     return depths[label]

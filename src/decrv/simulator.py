@@ -84,15 +84,6 @@ class SimulationReport(NamedTuple):
         """Largest total observation-store cardinality across all nodes."""
         return max(self.memory_per_round, default=0)
 
-    def verdict_values(self) -> dict[str, list[Verdict]]:
-        return {label: [rec.verdict for rec in log] for label, log in self.verdicts.items()}
-
-    def measured_steady_rate(self, warmup: int) -> float:
-        window = self.messages_per_round[warmup:]
-        if not window:
-            return 0.0
-        return sum(window) / len(window)
-
     def verdicts_csv(self) -> str:
         # one label's lines alive at a time: this file is the largest
         # allocation of a short replay
@@ -153,7 +144,7 @@ class _Node:
     __slots__ = (
         "label",
         "ehe",
-        "own_props",
+        "own",
         "dependents",
         "expansion",
         "gc_enabled",
@@ -165,14 +156,14 @@ class _Node:
         self,
         label: str,
         ehe: EHE,
-        own_props: frozenset[str],
+        own: tuple[str, ...],
         dependents: list[str],
         expansion: object,
         gc_enabled: bool,
     ) -> None:
         self.label = label
         self.ehe = ehe
-        self.own_props = own_props
+        self.own = own
         self.dependents = dependents
         self.expansion = expansion
         self.gc_enabled = gc_enabled
@@ -194,17 +185,6 @@ def run_simulation(
     options: SimulationOptions = SimulationOptions(),
 ) -> SimulationReport:
     nodes = _make_nodes(registry, options)
-    if trace:
-        missing = {
-            (node.label, ap)
-            for node in nodes.values()
-            for ap in node.own_props
-            if ap not in trace[0]
-        }
-        if missing:
-            label, ap = sorted(missing)[0]
-            raise SimulationError(f"no trace source for {ap!r} (monitor {label!r})")
-
     rng = random.Random(options.seed)
     pending: dict[int, list[Message]] = {}
     order = sorted(nodes)
@@ -230,7 +210,7 @@ def run_simulation(
         try:
             for label in order:
                 node = nodes[label]
-                for ap in node.own_props:
+                for ap in node.own:
                     node.ehe.memory.store_at(r, ap, event[ap])
         except KeyError:
             raise SimulationError(
@@ -283,13 +263,13 @@ def _make_nodes(registry: Registry, options: SimulationOptions) -> dict[str, _No
     nodes = {}
     for label, decl in registry.monitors.items():
         expansion = decl.expansion
-        if not options.lazy_enabled or not registry.ref_only(label):
+        if not options.lazy_enabled or registry.own[label] or not registry.refs[label]:
             expansion = EAGER
         nodes[label] = _Node(
             label=label,
             ehe=EHE(synthesis.build(decl.formula, options.max_states), 0, Memory()),
-            own_props=registry.own_props(label),
-            dependents=registry.dependents(label),
+            own=registry.own[label],
+            dependents=registry.dependents[label],
             expansion=expansion,
             gc_enabled=options.gc_enabled,
         )
@@ -346,5 +326,5 @@ def steady_state_message_rate(registry: Registry) -> int:
     source monitor reaches final verdicts at a steady per-round pace
     (finite horizon after inlining)."""
     return sum(
-        1 for src, _ in registry.edges() if registry.horizon(src) is not None
+        len(deps) for src, deps in registry.dependents.items() if registry.horizon(src) is not None
     )

@@ -656,27 +656,7 @@ def guard_expr(m: MooreMonitor, events: Sequence[int]) -> expr.BoolExpr:
 
 def _guard_text(e: expr.BoolExpr) -> str:
     """Render a time-0 guard with bare proposition names (for exports)."""
-    match e:
-        case expr.BConst():
-            return str(e)
-        case expr.BAtom():
-            return e.atom.name
-        case expr.BNot():
-            inner = _guard_text(e.operand)
-            if isinstance(e.operand, (expr.BAnd, expr.BOr)):
-                inner = f"({inner})"
-            return f"!{inner}"
-        case expr.BAnd() | expr.BOr():
-            cls = type(e)
-            sep = " & " if cls is expr.BAnd else " | "
-            parts = []
-            for t in expr.flatten(e, cls):
-                text = _guard_text(t)
-                if isinstance(t, (expr.BAnd, expr.BOr)):
-                    text = f"({text})"
-                parts.append(text)
-            return sep.join(parts)
-    raise TypeError(f"unknown node {e!r}")
+    return expr.render(e, lambda atom: atom.name)
 
 
 def guard_templates(m: MooreMonitor) -> list[dict[int, expr.BoolExpr]]:

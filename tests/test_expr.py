@@ -18,6 +18,26 @@ C = expr.batom(Atom(2, "c"))
 def test_atom_rendering():
     assert str(Atom(23, "s1")) == "<23,s1>"
     assert str(expr.band(A, expr.bnot(B))) == "<1,a> & !<1,b>"
+    assert str(expr.BTRUE) == "true"
+    assert str(expr.bnot(expr.band(A, B))) == "!(<1,a> & <1,b>)"
+    assert str(expr.bor(expr.bor(A, B), C)) == "<1,a> | <1,b> | <2,c>"
+    nested = expr.band(A, expr.bor(B, expr.band(C, expr.bnot(A))))
+    assert str(nested) == "<1,a> & (<1,b> | (<2,c> & !<1,a>))"
+    assert str(expr.bor(nested, expr.bnot(expr.bnot(C)))) == (
+        "(<1,a> & (<1,b> | (<2,c> & !<1,a>))) | !!<2,c>"
+    )
+
+
+def test_guard_rendering_pinned():
+    def bare(e):
+        return expr.render(e, lambda atom: atom.name)
+
+    assert bare(expr.BFALSE) == "false"
+    assert bare(A) == "a"
+    assert bare(expr.bnot(expr.bor(A, B))) == "!(a | b)"
+    assert bare(expr.bor(expr.band(A, expr.bnot(B)), expr.band(expr.bnot(A), C))) == (
+        "(a & !b) | (!a & c)"
+    )
 
 
 def test_hash_consing_gives_identity():

@@ -1,5 +1,6 @@
 """Spec registry: grammar, validation errors, hierarchy queries."""
 
+import random
 import re
 
 import pytest
@@ -21,6 +22,8 @@ from decrv.registry import (
     load_registry,
 )
 
+from conftest import _random_registry
+
 PAIR = """
 # a switch and a lamp
 component sw { s }
@@ -40,19 +43,34 @@ def test_parse_pair():
 
 def test_references_and_own_props():
     reg = load_registry(PAIR)
-    assert reg.references("sc_light") == {"light"}
-    assert reg.own_props("sc_light") == {"s"}
-    assert reg.references("light") == frozenset()
-    assert reg.own_props("light") == {"l"}
+    assert reg.refs["sc_light"] == {"light"}
+    assert reg.own["sc_light"] == ("s",)
+    assert reg.refs["light"] == frozenset()
+    assert reg.own["light"] == ("l",)
 
 
 def test_depth_and_edges():
     reg = load_registry(PAIR)
     assert reg.depths["light"] == 0
     assert reg.depths["sc_light"] == 1
-    assert reg.edges() == [("light", "sc_light")]
-    assert reg.dependents("light") == ["sc_light"]
-    assert reg.dependents("sc_light") == []
+    assert reg.dependents == {"light": ["sc_light"], "sc_light": []}
+
+
+def test_dag_fields_match_their_definitions():
+    rng = random.Random(7)
+    for _ in range(200):
+        reg = _random_registry(rng)
+        labels = set(reg.monitors)
+        props = {l: ltl.propositions(d.formula) for l, d in reg.monitors.items()}
+
+        def depth(label):
+            refs = props[label] & labels
+            return 1 + max(map(depth, refs)) if refs else 0
+
+        assert reg.refs == {l: p & labels for l, p in props.items()}
+        assert reg.own == {l: tuple(sorted(p - labels)) for l, p in props.items()}
+        assert reg.dependents == {l: sorted(m for m in labels if l in props[m]) for l in labels}
+        assert reg.depths == {l: depth(l) for l in labels}
 
 
 def test_inline():
@@ -73,9 +91,9 @@ def test_ap_counts():
 def test_ref_only():
     text = PAIR + "monitor top @ sw := G sc_light\n"
     reg = load_registry(text)
-    assert reg.ref_only("top")
-    assert not reg.ref_only("sc_light")
-    assert not reg.ref_only("light")
+    # the simulator's condition for a lazy (triggered) expansion
+    assert reg.refs["top"] and not reg.own["top"]
+    assert reg.own["sc_light"] and reg.own["light"]
 
 
 def test_horizon():
@@ -205,7 +223,7 @@ def test_light_switch_family():
         "sc_light_0", "sc_light_1", "sc_light_2", "sc_ok",
     }
     assert reg.depths["sc_ok"] == 2
-    assert reg.ref_only("sc_ok")
+    assert reg.refs["sc_ok"] and not reg.own["sc_ok"]
     assert reg.ap_counts("sc_ok") == (3, 6)
     with pytest.raises(SpecError):
         light_switch_family(0)
