@@ -14,9 +14,11 @@ One pass per step: ``smove`` narrows the rows if the memory changed,
 then expands and scans each new row in one loop, so each row grows from a
 narrowed predecessor; ``resolve`` is a step that does not expand.  Exact
 catch-up: the instances respawned after a conclusion in one round walk
-fresh over one memory, so a walk that builds, at a certain round, the row
-object the walk concluded before it built there (its ``Trail``) goes on
-as that walk did, with the same rewrite count and verdict.
+fresh over one memory, so a walk that takes, to a certain round, the
+step-table entry that the walk concluded before it took there (its
+``Trail``) goes on as that walk did, with the same rewrite count and
+verdict.  The trail compares step entries, not rows: rows are hash-consed
+(below), and two walks may reach one row by different steps.
 
 Frames: row t is stored in its own time frame, as ``(q, stamp(e, -t))``
 pairs in q order, so its atoms carry times relative to t; ``expr_at`` and
@@ -36,15 +38,20 @@ no ``stamp``, ``band`` or ``simplify``.
 Narrowing row t is a lookup too.  What it narrows to depends only on the
 row in its frame and on what the memory holds for the row's atoms, so the
 encoding keeps one narrow table, keyed by ``(row, known, values)``:
-bitmasks over the row's sorted atoms (``_row_atoms[row]``, worked out once
-per row) of those the memory holds at ``a.time + t`` and of those that
-are true.  A row none of whose atoms is known is left as it is; a miss
-substitutes the known atoms and simplifies each entry that takes one in
-(``_narrow``).  Entries of both tables are ``_Entry``s: the row a key
+bitmasks over the row's sorted atoms of those the memory holds at
+``a.time + t`` and of those that are true.  A row none of whose atoms is
+known is left as it is; a miss substitutes the known atoms and simplifies
+each entry that takes one in (``_narrow``).  Entries of both tables are ``_Entry``s: the row a key
 leads to, its rewrite count and what it adds to the encoding's entry and
 node counts, applied the same way by ``smove`` and ``resolve``.  The
 tables belong to one node's encoding for one run: ``respawn`` starts the
 next instance over the same memory and keeps them.
+
+Rows are hash-consed per encoding: one map, ``_rows``, takes a row to
+``(row, atoms)``, the one object of its value and its sorted atoms, worked
+out once per row.  Every step or narrow result, respawned initial row and
+``entries`` value goes through it, so the tables and ``entries`` hold one
+object per distinct row, however many keys lead to it.
 
 Why a frame-relative row is exact: ``simplify`` and ``substitute_atoms``
 compare nodes by identity only, so renaming atoms one-to-one, as stamping
@@ -169,17 +176,18 @@ def _narrow(
 class Trail:
     """The last walk a node concluded among the instances it respawned in
     the current round, for those respawned after it, which walk fresh over
-    the same memory: ``rows[t]`` is ``(row, rest)``, the walk's row at
-    round t and the rewrite count of its rows after t; ``target`` and
-    ``found`` are the round it expanded to and what its ``smove``
-    returned.  It dies with the round."""
+    the same memory: ``steps[t]`` is ``(step, rest)``, the step-table entry
+    that built the walk's row at round t and the rewrite count of its rows
+    after t; ``target`` and ``found`` are the round it expanded to and what
+    its ``smove`` returned.  It dies with the round.  Walks meet on step
+    entries: two walks may hold one hash-consed row after different steps."""
 
-    __slots__ = ("target", "found", "rows")
+    __slots__ = ("target", "found", "steps")
 
     def __init__(self) -> None:
         self.target: Optional[int] = None
         self.found: Optional[tuple[int, int, Verdict]] = None
-        self.rows: dict[int, tuple[tuple[tuple[int, BoolExpr], ...], int]] = {}
+        self.steps: dict[int, tuple[_Entry, int]] = {}
 
 
 class EHE:
@@ -203,7 +211,7 @@ class EHE:
         "total_size",
         "_steps",
         "_narrows",
-        "_row_atoms",
+        "_rows",
     )
 
     def __init__(
@@ -218,8 +226,16 @@ class EHE:
         self.stats = SimplifyStats() if stats is None else stats
         self._steps: dict[tuple, _Entry] = {}
         self._narrows: dict[tuple, _Entry] = {}
-        self._row_atoms: dict[tuple, tuple[Atom, ...]] = {}
+        self._rows: dict[tuple, tuple[tuple, tuple[Atom, ...]]] = {}
         self.respawn(t_origin)
+
+    def _row(self, row: tuple) -> tuple[tuple, tuple[Atom, ...]]:
+        """The one object of ``row``'s value in this encoding, and its
+        sorted atoms."""
+        found = self._rows.get(row)
+        if found is None:
+            found = self._rows[row] = (row, _atoms_of(row))
+        return found
 
     def respawn(self, t_origin: int) -> None:
         """Start a fresh instance at t_origin, certain of the initial state.
@@ -227,7 +243,7 @@ class EHE:
         initial = self.monitor.initial
         self.t_origin = self.t_last = t_origin
         self.entries: dict[int, tuple[tuple[int, BoolExpr], ...]] = {
-            t_origin: ((initial, expr.BTRUE),)
+            t_origin: self._row(((initial, expr.BTRUE),))[0]
         }
         self._version = self.memory.version
         self._found = (t_origin, initial, self.monitor.verdict(initial))
@@ -259,11 +275,9 @@ class EHE:
         best, work = first, 0
         n_entries, total_size = self.n_entries, self.total_size
         if self._version != memory.version:
-            get, narrows, row_atoms = memory.get_at, self._narrows, self._row_atoms
+            get, narrows = memory.get_at, self._narrows
             for t, row in entries.items():  # replacing a row keeps the keys
-                atoms = row_atoms.get(row)
-                if atoms is None:
-                    atoms = row_atoms[row] = _atoms_of(row)
+                atoms = self._row(row)[1]
                 known = values = 0
                 for i, (time, name) in enumerate(atoms):
                     value = get(time + t, name)
@@ -278,6 +292,7 @@ class EHE:
                     narrowed = narrows.get(key)
                     if narrowed is None:
                         narrowed = narrows[key] = _narrow(row, atoms, known, values)
+                        narrowed.row = self._row(narrowed.row)[0]
                     work += narrowed.rewrites
                     n_entries += narrowed.d_entries
                     total_size += narrowed.d_size
@@ -288,7 +303,7 @@ class EHE:
         walk, merge = [], None
         if t_future > t_last:
             if trail is not None and trail.target != t_future:
-                trail.target, trail.rows = t_future, {}
+                trail.target, trail.steps = t_future, {}
             steps, masks, names = self._steps, memory.masks, memory.names
             prev = entries[t_last]
             for t in range(t_last + 1, t_future + 1):
@@ -297,16 +312,17 @@ class EHE:
                 step = steps.get(key)
                 if step is None:
                     step = steps[key] = _build(self.monitor, names, prev, known, values)
+                    step.row = self._row(step.row)[0]
                 work += step.rewrites
                 n_entries += step.d_entries
                 total_size += step.d_size
                 prev = entries[t] = step.row
                 if trail is not None:
-                    walk.append((t, prev, step.rewrites))
+                    walk.append((t, step))
                 if step.certain is not None:
                     best, best_q = t, step.certain
-                    hit = None if trail is None else trail.rows.get(t)
-                    if hit is not None and hit[0] is prev:
+                    hit = None if trail is None else trail.steps.get(t)
+                    if hit is not None and hit[0] is step:
                         merge = hit
                         work += merge[1]
                         t_future = t
@@ -322,9 +338,9 @@ class EHE:
         found = (best, best_q, self.monitor.verdict(best_q)) if merge is None else trail.found
         if walk and found[2].final:  # a walk that concludes is the trail's now
             rest = 0 if merge is None else merge[1]
-            for t, row, rewrites in reversed(walk):
-                trail.rows[t] = (row, rest)
-                rest += rewrites
+            for t, step in reversed(walk):
+                trail.steps[t] = (step, rest)
+                rest += step.rewrites
             trail.found = found
         self._found = found
         return found

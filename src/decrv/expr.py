@@ -3,12 +3,17 @@
 Expressions are immutable and hash-consed: structurally equal live
 expressions are the same object, so equality checks and set membership are
 O(1) no matter how large the tree is.  The intern table is a plain dict
-that keeps recently built nodes, so that a node which recurs, as the
-frame-relative rows of ``ehe`` do round after round, keeps its ``simplify``
-pass memo.  A sweep bounds it: when it reaches ``max(1024, 3/2 x its size
-after the last sweep)`` entries, it drops, newest first, every node that
-only the table references, which it reads from CPython's reference counts
-(``sys.getrefcount``), so the sweep relies on CPython.
+keyed by a connective and its operands themselves (``("a", atom)``,
+``("n", operand)``, ``("&", left, right)``, ``("|", left, right)``); nodes
+hash by identity, so a key is no dearer to look up than one of ids and
+holds no objects of its own.  The table keeps recently built nodes, so
+that a node which recurs, as the frame-relative rows of ``ehe`` do round
+after round, keeps its ``simplify`` pass memo.  A sweep bounds it: when it
+reaches ``max(1024, 3/2 x its size after the last sweep)`` entries, it
+drops, newest first, every node that only the table references, which it
+reads from CPython's reference counts (``sys.getrefcount``), so the sweep
+relies on CPython.  Atom maps memoise ``node -> result`` and ``atoms``
+keeps a set of the nodes it has seen, both keyed by node.
 Connectives are binary; chain-level rules (idempotence, absorption,
 complement) flatten transparently.
 """
@@ -91,9 +96,8 @@ def render(e: BoolExpr, atom_text=str) -> str:
 # the pass memo of a node that every pass leaves as it is
 _FIXED = (None, 0)
 
-# Keys hold child ids, not children.  A node in the table keeps its children
-# alive, so the ids in its key stay valid.  There is no lock: build
-# expressions on one thread.
+# Keys hold operands, not their ids (module docstring).  There is no lock:
+# build expressions on one thread.
 _interned: dict[tuple, BoolExpr] = {}
 _SWEEP_MIN = 1024
 _sweep_at = _SWEEP_MIN
@@ -101,12 +105,16 @@ _sweep_at = _SWEEP_MIN
 
 def _sweep() -> None:
     """Drop the nodes that only the table references.  A node is inserted
-    after its children, so going newest first frees a dead parent before
-    its children are looked at; a dead node that only a younger node's pass
-    memo held waits for the next sweep."""
+    after its children, so going newest first frees a dead parent, and with
+    its key the references that key held, before its children are looked
+    at; the snapshot of keys is popped as it is walked, since a key it
+    still held would pin its operands.  A dead node that only a younger
+    node's pass memo held waits for the next sweep."""
     global _sweep_at
     table = _interned
-    for key in reversed(list(table)):
+    keys = list(table)
+    while keys:
+        key = keys.pop()  # rebinding frees the previous, deleted key
         if sys.getrefcount(table[key]) <= 2:  # the table and the argument
             del table[key]
     _sweep_at = max(_SWEEP_MIN, len(table) * 3 // 2)
@@ -142,7 +150,7 @@ def batom(atom: Atom) -> BAtom:
 
 
 def bnot(operand: BoolExpr) -> BNot:
-    key = ("n", id(operand))
+    key = ("n", operand)
     node = _interned.get(key)
     if node is None:
         if len(_interned) >= _sweep_at:
@@ -155,7 +163,7 @@ def bnot(operand: BoolExpr) -> BNot:
 
 
 def band(left: BoolExpr, right: BoolExpr) -> BAnd:
-    key = ("&", id(left), id(right))
+    key = ("&", left, right)
     node = _interned.get(key)
     if node is None:
         if len(_interned) >= _sweep_at:
@@ -169,7 +177,7 @@ def band(left: BoolExpr, right: BoolExpr) -> BAnd:
 
 
 def bor(left: BoolExpr, right: BoolExpr) -> BOr:
-    key = ("|", id(left), id(right))
+    key = ("|", left, right)
     node = _interned.get(key)
     if node is None:
         if len(_interned) >= _sweep_at:
@@ -221,12 +229,12 @@ def flatten(e: BoolExpr, cls) -> list[BoolExpr]:
 def atoms(e: BoolExpr) -> set[Atom]:
     found: set[Atom] = set()
     stack = [e]
-    seen: set[int] = set()
+    seen: set[BoolExpr] = set()
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         if isinstance(node, BAtom):
             found.add(node.atom)
         elif isinstance(node, BNot):
@@ -314,7 +322,7 @@ def _pass_once(e: BoolExpr) -> tuple[Optional[BoolExpr], int]:
 
     for t in kept:  # complement
         # a negation not in the table cannot be among the operands
-        comp = t.operand if isinstance(t, BNot) else _interned.get(("n", id(t)))
+        comp = t.operand if isinstance(t, BNot) else _interned.get(("n", t))
         if comp in present:
             return annihilator, count + 1
 
@@ -342,8 +350,8 @@ def _pass_once(e: BoolExpr) -> tuple[Optional[BoolExpr], int]:
 def substitute_atoms(e: BoolExpr, lookup, memo: Optional[dict] = None) -> BoolExpr:
     """Replace atoms for which ``lookup(atom)`` returns a bool; leave others.
 
-    ``memo`` (``id(node) -> (node, result)``) may be shared by calls with
-    the same lookup; it holds each key node so that its id is not reused."""
+    ``memo`` (``node -> result``) may be shared by calls with the same
+    lookup."""
 
     def leaf(node: BAtom) -> BoolExpr:
         v = lookup(node.atom)
@@ -369,9 +377,9 @@ def _map_atoms(node: BoolExpr, leaf, memo: dict) -> BoolExpr:
     whose operands map to themselves is returned as it is.  A module
     function, not a closure: a closure that calls itself is a reference
     cycle, which would keep its memo alive until the cyclic collector runs."""
-    cached = memo.get(id(node))
+    cached = memo.get(node)
     if cached is not None:
-        return cached[1]
+        return cached
     if isinstance(node, BConst):
         out = node
     elif isinstance(node, BAtom):
@@ -385,5 +393,5 @@ def _map_atoms(node: BoolExpr, leaf, memo: dict) -> BoolExpr:
             out = node
         else:
             out = band(l, r) if isinstance(node, BAnd) else bor(l, r)
-    memo[id(node)] = (node, out)
+    memo[node] = out
     return out

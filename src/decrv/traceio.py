@@ -45,20 +45,36 @@ def load_log(path) -> SensorLog:
 
 
 def parse_log(text: str, origin: str = "") -> SensorLog:
-    """Two-column CSV ``timestamp_ms,value``; a non-numeric header is skipped."""
+    """Two-column CSV ``timestamp_ms,value``; a first row whose timestamp is
+    not a number is a header and is skipped."""
     times: list[int] = []
     values: list[str] = []
-    for row in csv.reader(io.StringIO(text)):
+    reader = csv.reader(io.StringIO(text))
+    for row in reader:
         if not row:
             continue
         first = row[0].strip()
-        if not times and not values and not first.lstrip("-").isdigit():
+        try:
+            t = int(first)
+        except ValueError:
+            if times or _is_number(first):
+                raise SensorDataError(
+                    f"{origin}:{reader.line_num}: non-integer timestamp {first!r}"
+                ) from None
             continue  # header
         if len(row) < 2:
             raise SensorDataError(f"{origin}: malformed row {row!r}")
-        times.append(int(first))
+        times.append(t)
         values.append(row[1].strip())
     return SensorLog(tuple(times), tuple(values), origin)
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def save_log(path, log: SensorLog) -> None:
@@ -172,6 +188,8 @@ def parse_manifest(text: str, base_dir: str = ".") -> list[Periphery]:
             raise SensorDataError(f"manifest line {lineno}: expected default=<bool>")
         default = _parse_bool(default_text[len("default="):], lineno)
         log = load_log(os.path.join(base_dir, filename))
+        for value in dict.fromkeys(log.values):  # whatever rounds get polled
+            kind.interpret(value, log.origin)
         out.append(Periphery(ap, log, kind, default))
     return out
 

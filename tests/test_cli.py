@@ -269,6 +269,31 @@ def test_replay_reorder_seed_drives_delivery(workspace, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("end", ["3", "10"])
+def test_replay_rejects_bad_log_value_outside_the_window(workspace, capsys, end):
+    # round 5 holds a bad token: a window that ends before it fails the same
+    (workspace / "s.csv").write_text("0,ON\n5,MAYBE\n")
+    code = main(
+        [
+            "replay", str(workspace / "pair.dspec"), str(workspace / "sensors.manifest"),
+            "--start", "0", "--end", end, "--interval", "1", "--out", str(workspace / "out"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "s.csv" in err and "'MAYBE'" in err
+
+
+def test_replay_non_integer_timestamp_is_parse_error(workspace, capsys):
+    (workspace / "l.csv").write_text("0,OFF\n1.5,ON\n")
+    code, out = _replay(workspace, "run")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"decrv: error: {workspace / 'l.csv'}:2: non-integer timestamp '1.5'\n"
+    )
+    assert not out.exists()
+
+
 def test_replay_missing_spec_exit_code(workspace):
     code = main(
         [

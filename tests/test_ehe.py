@@ -617,7 +617,7 @@ def test_narrow_table_cleared_at_random_matches_kept_table():
             if rng.random() < 0.15:
                 cleared._narrows.clear()
             if rng.random() < 0.1:
-                cleared._row_atoms.clear()
+                cleared._rows.clear()
             if rng.random() < 0.1:
                 cleared._steps.clear()
             if op == "store":

@@ -223,3 +223,17 @@ def test_simplify_memo_charges_cold_count(e):
         warm = SimplifyStats()
         assert expr.simplify(e, warm) is result
         assert warm.simplifications == cold.simplifications
+
+
+def test_one_sweep_frees_a_dead_parent_and_the_children_only_it_held(monkeypatch):
+    # keys hold operands, so a parent's key pins its children until the
+    # sweep has dropped it: one pass, newest first, still frees them all
+    monkeypatch.setattr(expr, "_interned", {})
+    monkeypatch.setattr(expr, "_sweep_at", expr._SWEEP_MIN)
+    kept = expr.batom(Atom(0, "kept"))
+    a, b = expr.batom(Atom(0, "a")), expr.batom(Atom(0, "b"))
+    parent = expr.bor(expr.band(a, b), expr.bnot(kept))
+    assert len(expr._interned) == 6
+    del a, b, parent
+    expr._sweep()
+    assert list(expr._interned.values()) == [kept]

@@ -382,9 +382,9 @@ def _intern_key(node):
     if isinstance(node, expr.BAtom):
         return ("a", node.atom)
     if isinstance(node, expr.BNot):
-        return ("n", id(node.operand))
+        return ("n", node.operand)
     op = "&" if isinstance(node, expr.BAnd) else "|"
-    return (op, id(node.left), id(node.right))
+    return (op, node.left, node.right)
 
 
 def _full_sweep():
@@ -493,6 +493,31 @@ def test_busy_replay_leaves_no_reference_cycle(fresh_tables):
     finally:
         gc.enable()
     assert found == 0
+
+
+def test_busy_replay_holds_one_row_object_per_row_value(monkeypatch):
+    # every row an encoding holds, in its entries and as a key or result of
+    # its step and narrow tables, is the one object of its value
+    encodings = []
+    make_nodes = simulator._make_nodes
+
+    def kept_nodes(*args):
+        nodes = make_nodes(*args)
+        encodings.extend(node.ehe for node in nodes.values())
+        return nodes
+
+    monkeypatch.setattr(simulator, "_make_nodes", kept_nodes)
+    options = SimulationOptions(delivery=DeliveryPolicy("reorder", 3))
+    run_simulation(registry.bundled("amiqual"), benchmark_gen().busy_trace(0, 120), options)
+    held = 0
+    for enc in encodings:
+        rows = [*enc.entries.values()]
+        for table in (enc._steps, enc._narrows):
+            rows += [key[0] for key in table] + [entry.row for entry in table.values()]
+        for row in rows:
+            assert enc._rows[row][0] is row
+        held += len(rows)
+    assert held > sum(len(enc._rows) for enc in encodings)
 
 
 def test_sweeping_on_every_insertion_leaves_reports_unchanged(fresh_tables):

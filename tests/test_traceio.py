@@ -165,6 +165,28 @@ def test_manifest_errors(line, tmp_path):
         parse_manifest(line, base_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize(
+    ("text", "line"),
+    [("0,ON\n1.5,OFF\n", 2), ("1.5,OFF\n", 1), ("timestamp_ms,value\n0,ON\nlater,OFF\n", 3)],
+)
+def test_non_integer_timestamp_names_file_and_line(tmp_path, text, line):
+    path = tmp_path / "door.csv"
+    path.write_text(text)
+    with pytest.raises(SensorDataError, match=f"door.csv:{line}: non-integer timestamp"):
+        traceio.load_log(path)
+
+
+@pytest.mark.parametrize(
+    ("kind", "values"),
+    [("bool", ["ON", "OFF", "MAYBE"]), ("thresh:2:above", ["1", "3", "high"])],
+)
+def test_manifest_rejects_any_bad_value_at_load(tmp_path, kind, values):
+    # the bad value comes last, after every round a short window would poll
+    (tmp_path / "s.csv").write_text("".join(f"{t},{v}\n" for t, v in enumerate(values)))
+    with pytest.raises(SensorDataError, match="s.csv"):
+        parse_manifest(f"s, s.csv, {kind}, default=false", base_dir=str(tmp_path))
+
+
 def test_changes_includes_first_entry_and_flips_only():
     p = Periphery("x", _log((0, "ON"), (5, "ON"), (9, "OFF"), (12, "OFF"), (20, "ON")))
     assert p.changes() == [0, 9, 20]
