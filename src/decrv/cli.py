@@ -176,7 +176,6 @@ def cmd_replay(args) -> int:
         reg = reg.restrict([l.strip() for l in args.labels.split(",")])
     peripheries = traceio.load_manifest(args.manifest)
     config = traceio.PollConfig(args.start, args.end, args.interval)
-    trace = traceio.poll_trace(peripheries, config)
     options = simulator.SimulationOptions(
         delivery=delivery,
         seed=seed,
@@ -184,19 +183,17 @@ def cmd_replay(args) -> int:
         lazy_enabled=not args.eager_ehe,
         max_states=args.max_states,
     )
-    report = simulator.run_simulation(reg, trace, options)
+    report = simulator.run_simulation(reg, traceio.poll_trace(peripheries, config), options)
     os.makedirs(args.out, exist_ok=True)
-    # each report is written before the next is rendered; summary.txt, last, is printed
-    for filename, render in (
-        ("verdicts.csv", report.verdicts_csv),
-        ("metrics.csv", report.metrics_csv),
-        ("timeline.tsv", report.timeline_tsv),
-        ("summary.txt", report.summary_txt),
+    for filename, write in (
+        ("verdicts.csv", report.write_verdicts_csv),
+        ("metrics.csv", report.write_metrics_csv),
+        ("timeline.tsv", report.write_timeline_tsv),
+        ("summary.txt", report.write_summary_txt),
     ):
-        text = render()
         with open(os.path.join(args.out, filename), "w", encoding="utf-8") as f:
-            f.write(text)
-    print(text, end="")
+            write(f)
+    report.write_summary_txt(sys.stdout)
     return EXIT_OK
 
 

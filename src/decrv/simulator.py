@@ -7,14 +7,16 @@ checking, it appends the verdict to its log, notifies dependent monitors,
 garbage-collects its memory, and respawns its encoding at the next round;
 later instances of the round catch up with the walk concluded before
 them (``ehe.Trail``).  A node checks rounds 0, 1, 2... in order, so its
-log is a list indexed by round.
+log is indexed by round; it holds indexes into the run's shared records.
+The trace is read one round at a time, so it may be a generator.
 """
 
 from __future__ import annotations
 
+import io
 import random
-from concurrent.futures import ThreadPoolExecutor  # unused; benchmarks/test_checks.py deletes it
-from typing import NamedTuple, Optional
+from array import array
+from typing import Callable, Iterable, NamedTuple, Optional, TextIO
 
 from . import ehe as ehe_mod
 from . import synthesis
@@ -26,6 +28,14 @@ from .verdicts import Verdict
 
 
 class SimulationError(ValidationError):
+    pass
+
+
+# not a pool: the replay runs on one thread, and importing
+# concurrent.futures would load logging and queue into every replay;
+# benchmarks/tracer.py subclasses this name and benchmarks/test_checks.py
+# deletes it
+class ThreadPoolExecutor:
     pass
 
 
@@ -64,11 +74,67 @@ class VerdictRecord(NamedTuple):
     truncated: bool = False
 
 
+class _Records:
+    """The run's shared records, one per verdict, delay and truncation; a
+    log holds indexes into ``table``.  The key is ``(verdict is TRUE,
+    delay)``, with None for a truncated UNKNOWN, so no key hashes a Verdict."""
+
+    __slots__ = ("table", "_index")
+
+    def __init__(self) -> None:
+        self.table: list[VerdictRecord] = []
+        self._index: dict[tuple[Optional[bool], int], int] = {}
+
+    def index(self, verdict: Verdict, delay: int, truncated: bool = False) -> int:
+        key = (None if truncated else verdict is Verdict.TRUE, delay)
+        i = self._index.get(key)
+        if i is None:
+            i = self._index[key] = len(self.table)
+            self.table.append(VerdictRecord(verdict, delay, truncated))
+        return i
+
+
+class VerdictLog:
+    """One node's verdicts, ``log[t]`` about round t, read as a sequence of
+    records.  It holds an index into ``records``, the run's shared table,
+    per round: 2 bytes each until an index reaches 65,536, then 4."""
+
+    __slots__ = ("indexes", "records")
+
+    def __init__(self, records: list[VerdictRecord]) -> None:
+        self.indexes = array("H")
+        self.records = records
+
+    def append(self, i: int) -> None:
+        try:
+            self.indexes.append(i)
+        except OverflowError:
+            self.indexes = array("I", self.indexes)
+            self.indexes.append(i)
+
+    def __len__(self) -> int:
+        return len(self.indexes)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self.records[i] for i in self.indexes[t]]
+        return self.records[self.indexes[t]]
+
+    def __iter__(self):
+        return map(self.records.__getitem__, self.indexes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (VerdictLog, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 class SimulationReport(NamedTuple):
-    """Verdict logs and per-round counts of one run."""
+    """Verdict logs and per-round counts of one run.  Each report has a
+    writer to a text file, and a method that returns its text."""
 
     rounds: int
-    verdicts: dict[str, list[VerdictRecord]]
+    verdicts: dict[str, VerdictLog]
     messages_per_round: list[int]
     simplifications_per_round: list[int]
     max_ehe_size_per_round: list[int]
@@ -84,43 +150,38 @@ class SimulationReport(NamedTuple):
         """Largest total observation-store cardinality across all nodes."""
         return max(self.memory_per_round, default=0)
 
-    def verdicts_csv(self) -> str:
+    def write_verdicts_csv(self, out: TextIO) -> None:
         # one label's lines alive at a time: this file is the largest
         # allocation of a short replay
-        chunks = ["round,label,verdict,delay\n"]
+        out.write("round,label,verdict,delay\n")
         for label in sorted(self.verdicts):
             log = enumerate(self.verdicts[label])
-            chunks.append("".join(f"{t},{label},{rec.verdict},{rec.delay}\n" for t, rec in log))
-        return "".join(chunks)
+            out.write("".join([f"{t},{label},{rec.verdict},{rec.delay}\n" for t, rec in log]))
 
-    def metrics_csv(self) -> str:
-        lines = ["round,msgs,simplifications,max_ehe_nodes"]
-        for r in range(self.rounds):
-            lines.append(
-                f"{r},{self.messages_per_round[r]},"
-                f"{self.simplifications_per_round[r]},"
-                f"{self.max_ehe_size_per_round[r]}"
-            )
-        return "\n".join(lines) + "\n"
+    def write_metrics_csv(self, out: TextIO) -> None:
+        out.write("round,msgs,simplifications,max_ehe_nodes\n")
+        rows = zip(
+            self.messages_per_round, self.simplifications_per_round, self.max_ehe_size_per_round
+        )
+        out.writelines(f"{r},{msgs},{simps},{size}\n" for r, (msgs, simps, size) in enumerate(rows))
 
-    def summary_txt(self) -> str:
+    def write_summary_txt(self, out: TextIO) -> None:
         n = max(self.rounds, 1)
         finals = sum(rec.verdict.final for log in self.verdicts.values() for rec in log)
-        lines = [
-            f"rounds {self.rounds}",
-            f"monitors {len(self.verdicts)}",
-            f"final_verdicts {finals}",
-            f"total_messages {self.total_messages}",
-            f"msgs_per_round {self.total_messages / n:.4f}",
-            f"simplifications_per_round {sum(self.simplifications_per_round) / n:.4f}",
-            f"max_ehe_nodes {max(self.max_ehe_size_per_round, default=0)}",
-            f"max_ehe_entries {max(self.max_ehe_entries_per_round, default=0)}",
-        ]
-        return "\n".join(lines) + "\n"
+        out.write(
+            f"rounds {self.rounds}\n"
+            f"monitors {len(self.verdicts)}\n"
+            f"final_verdicts {finals}\n"
+            f"total_messages {self.total_messages}\n"
+            f"msgs_per_round {self.total_messages / n:.4f}\n"
+            f"simplifications_per_round {sum(self.simplifications_per_round) / n:.4f}\n"
+            f"max_ehe_nodes {max(self.max_ehe_size_per_round, default=0)}\n"
+            f"max_ehe_entries {max(self.max_ehe_entries_per_round, default=0)}\n"
+        )
 
-    def timeline_tsv(self) -> str:
+    def write_timeline_tsv(self, out: TextIO) -> None:
         """Per-label inclusive round intervals where the verdict was TRUE."""
-        lines = ["label\tstart\tend"]
+        out.write("label\tstart\tend\n")
         for label in sorted(self.verdicts):
             log = self.verdicts[label]
             start: Optional[int] = None
@@ -129,11 +190,28 @@ class SimulationReport(NamedTuple):
                     if start is None:
                         start = t
                 elif start is not None:
-                    lines.append(f"{label}\t{start}\t{t - 1}")
+                    out.write(f"{label}\t{start}\t{t - 1}\n")
                     start = None
             if start is not None:
-                lines.append(f"{label}\t{start}\t{len(log) - 1}")
-        return "\n".join(lines) + "\n"
+                out.write(f"{label}\t{start}\t{len(log) - 1}\n")
+
+    def verdicts_csv(self) -> str:
+        return _text(self.write_verdicts_csv)
+
+    def metrics_csv(self) -> str:
+        return _text(self.write_metrics_csv)
+
+    def summary_txt(self) -> str:
+        return _text(self.write_summary_txt)
+
+    def timeline_tsv(self) -> str:
+        return _text(self.write_timeline_tsv)
+
+
+def _text(write: Callable[[TextIO], None]) -> str:
+    out = io.StringIO()
+    write(out)
+    return out.getvalue()
 
 
 class _Node:
@@ -160,6 +238,7 @@ class _Node:
         dependents: list[str],
         expansion: object,
         gc_enabled: bool,
+        log: VerdictLog,
     ) -> None:
         self.label = label
         self.ehe = ehe
@@ -167,7 +246,7 @@ class _Node:
         self.dependents = dependents
         self.expansion = expansion
         self.gc_enabled = gc_enabled
-        self.log: list[VerdictRecord] = []
+        self.log = log
         self.delivered_now: list[int] = []
 
 
@@ -181,24 +260,25 @@ class SimulationOptions(NamedTuple):
 
 def run_simulation(
     registry: Registry,
-    trace: list[dict[str, bool]],
+    trace: Iterable[dict[str, bool]],
     options: SimulationOptions = SimulationOptions(),
 ) -> SimulationReport:
-    nodes = _make_nodes(registry, options)
+    """Replay ``trace``, one event per round, read as the replay reaches it."""
+    records = _Records()
+    nodes = _make_nodes(registry, options, records.table)
     rng = random.Random(options.seed)
     pending: dict[int, list[Message]] = {}
     order = sorted(nodes)
-    n = len(trace)
     messages_per_round = []
     simplifications_per_round = []
     max_size_per_round = []
     max_entries_per_round = []
     memory_per_round = []
     prev_simplifications = 0
-    # one shared record per (verdict, delay): the log holds one per round
-    records: dict[tuple[Verdict, int], VerdictRecord] = {}
 
-    for r in range(n):
+    n = 0
+    for r, event in enumerate(trace):
+        n = r + 1
         # 1. deliver verdict messages that are due
         for msg in pending.pop(r, ()):
             node = nodes[msg.receiver]
@@ -206,7 +286,6 @@ def run_simulation(
             node.delivered_now.append(msg.timestamp)
 
         # 2. poll the trace into per-node memories
-        event = trace[r]
         try:
             for label in order:
                 node = nodes[label]
@@ -244,9 +323,8 @@ def run_simulation(
     # trace end: unresolved rounds stay UNKNOWN, flagged truncated
     for label in order:
         log = nodes[label].log
-        log.extend(
-            VerdictRecord(Verdict.UNKNOWN, n - 1 - t, truncated=True) for t in range(len(log), n)
-        )
+        for t in range(len(log), n):
+            log.append(records.index(Verdict.UNKNOWN, n - 1 - t, truncated=True))
 
     return SimulationReport(
         rounds=n,
@@ -259,7 +337,9 @@ def run_simulation(
     )
 
 
-def _make_nodes(registry: Registry, options: SimulationOptions) -> dict[str, _Node]:
+def _make_nodes(
+    registry: Registry, options: SimulationOptions, records: list[VerdictRecord]
+) -> dict[str, _Node]:
     nodes = {}
     for label, decl in registry.monitors.items():
         expansion = decl.expansion
@@ -272,6 +352,7 @@ def _make_nodes(registry: Registry, options: SimulationOptions) -> dict[str, _No
             dependents=registry.dependents[label],
             expansion=expansion,
             gc_enabled=options.gc_enabled,
+            log=VerdictLog(records),
         )
     return nodes
 
@@ -295,9 +376,7 @@ def _expansion_target(node: _Node, r: int) -> Optional[int]:
     return max(hits) + 1
 
 
-def _step_node(
-    node: _Node, r: int, records: dict[tuple[Verdict, int], VerdictRecord]
-) -> list[Message]:
+def _step_node(node: _Node, r: int, records: _Records) -> list[Message]:
     out: list[Message] = []
     enc, trail = node.ehe, None  # a trail for instances respawned this round
     while True:
@@ -306,10 +385,7 @@ def _step_node(
         t = len(node.log)
         if not verdict.final or t > r:
             break
-        record = records.get((verdict, r - t))
-        if record is None:
-            record = records[verdict, r - t] = VerdictRecord(verdict, r - t)
-        node.log.append(record)
+        node.log.append(records.index(verdict, r - t))
         for dep in node.dependents:
             out.append(Message(node.label, dep, t, verdict is Verdict.TRUE, r))
         if node.gc_enabled:

@@ -13,7 +13,7 @@ import csv
 import io
 import math
 import os
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .base import Record
 
@@ -160,9 +160,21 @@ class PollConfig(Record):
         return range(self.start, self.end, self.interval)
 
 
-def poll_trace(peripheries: Sequence[Periphery], config: PollConfig) -> list[dict[str, bool]]:
-    """One truth assignment per round, over every periphery's proposition."""
-    return [{p.ap: p.poll(t) for p in peripheries} for t in config.times()]
+def poll_trace(peripheries: Sequence[Periphery], config: PollConfig) -> Iterator[dict[str, bool]]:
+    """One truth assignment per round, over every periphery's proposition,
+    made when the caller asks for the round.  Each periphery keeps a
+    forward cursor into its log; when it moves, the latest entry at or
+    before the round is interpreted, so each entry once at most."""
+    aps = [p.ap for p in peripheries]
+    values = [p.default for p in peripheries]
+    cursors = [0] * len(peripheries)
+    for t in config.times():
+        for k, p in enumerate(peripheries):
+            times, i = p.source.times, cursors[k]
+            if i < len(times) and times[i] <= t:
+                i = cursors[k] = bisect.bisect_right(times, t, i)
+                values[k] = p.kind.interpret(p.source.values[i - 1], p.source.origin)
+        yield dict(zip(aps, values))
 
 
 # --- periphery manifest ---------------------------------------------------

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from decrv import ltl, oracle, registry, synthesis
+from decrv import ltl, oracle, registry, simulator, synthesis
 from decrv.cli import main
 from decrv.verdicts import Verdict
 
@@ -215,6 +215,28 @@ def test_replay_starts_no_thread(workspace, monkeypatch):
     code, out = _replay(workspace, "one_thread")
     assert code == 0
     assert (out / "verdicts.csv").exists()
+
+
+def test_replay_writes_reports_without_rendering_them(workspace, monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("verdicts.csv rendered as one string")
+
+    monkeypatch.setattr(simulator.SimulationReport, "verdicts_csv", refuse)
+    code, out = _replay(workspace, "written")
+    assert code == 0
+    verdicts = (out / "verdicts.csv").read_text().splitlines()
+    assert verdicts[0] == "round,label,verdict,delay"
+    assert len(verdicts) == 1 + 2 * 10
+    assert capsys.readouterr().out == (out / "summary.txt").read_text()
+
+
+def test_failed_replay_leaves_no_report_files(workspace, capsys):
+    # the lamp's sensor is missing: the replay fails at round 0
+    (workspace / "sensors.manifest").write_text("s, s.csv, bool, default=false\n")
+    code, out = _replay(workspace, "failed")
+    assert code == 2
+    assert "no trace source for 'l' at round 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_replay_delivery_flags(workspace):
@@ -441,6 +463,16 @@ def test_synth_loads_no_replay_module(tmp_path):
     }
     assert replay & set(loaded) == set()
     assert (tmp_path / "sc_ok.txt").exists()
+
+
+def test_replay_loads_no_thread_pool_or_logging(workspace):
+    argv = [
+        "replay", str(workspace / "pair.dspec"), str(workspace / "sensors.manifest"),
+        "--start", "0", "--end", "10", "--interval", "1", "--out", str(workspace / "out"),
+    ]
+    loaded = _loaded_modules(f"from decrv.cli import main; assert main({argv!r}) == 0")
+    assert {"decrv.simulator", "decrv.traceio"} <= set(loaded)
+    assert {"concurrent.futures", "logging"} & set(loaded) == set()
 
 
 def test_rates_and_eval_load_no_synthesis(workspace):

@@ -647,3 +647,99 @@ def test_catch_up_leaves_reports_unchanged(monkeypatch, kind):
                 assert getattr(got, name)() == getattr(want, name)(), name
             assert got.memory_per_round == want.memory_per_round
             assert got.max_ehe_entries_per_round == want.max_ehe_entries_per_round
+
+
+# --- streamed input ---------------------------------------------------------
+
+REPORTS = ("verdicts_csv", "metrics_csv", "summary_txt", "timeline_tsv")
+
+
+@pytest.mark.parametrize("kind", ["sticky", "busy-reorder3"])
+def test_one_shot_generator_gives_the_reports_of_the_list(kind):
+    reg = registry.bundled("amiqual")
+    if kind == "sticky":
+        trace, options = benchmark_gen().sticky_trace(0, 60), SimulationOptions()
+    else:
+        trace = benchmark_gen().busy_trace(0, 60)
+        options = SimulationOptions(delivery=DeliveryPolicy("reorder", 3))
+    listed = run_simulation(reg, trace, options)
+    streamed = run_simulation(reg, (event for event in trace), options)
+    assert streamed.rounds == len(trace)
+    for name in REPORTS:
+        assert getattr(streamed, name)() == getattr(listed, name)(), name
+
+
+@pytest.mark.parametrize("at", [0, 2])
+def test_missing_source_in_a_generator_rejected_with_the_same_text(at):
+    trace = _violating_trace(4)
+    trace[at] = {"s": True}
+    with pytest.raises(SimulationError) as from_list:
+        run_simulation(PAIR, trace)
+    with pytest.raises(SimulationError) as from_generator:
+        run_simulation(PAIR, iter(trace))
+    assert str(from_generator.value) == str(from_list.value)
+    assert str(from_list.value) == f"no trace source for 'l' at round {at} (monitor 'light')"
+
+
+# --- compact verdict log ----------------------------------------------------
+
+
+def test_verdict_records_are_shared_objects():
+    report = run_simulation(registry.bundled("amiqual"), benchmark_gen().sticky_trace(0, 60))
+    by_value = {}
+    for log in report.verdicts.values():
+        assert log.indexes.itemsize == 2
+        for rec in log:
+            assert by_value.setdefault(tuple(rec), rec) is rec
+    assert len(by_value) == len({id(rec) for rec in by_value.values()})
+
+
+def test_verdict_log_widens_at_65536_records():
+    records = [simulator.VerdictRecord(Verdict.TRUE, d) for d in range(65_537)]
+    log = simulator.VerdictLog(records)
+    for i in (0, 65_535, 7):
+        log.append(i)
+    assert log.indexes.itemsize == 2
+    log.append(65_536)
+    log.append(3)
+    assert log.indexes.itemsize == 4
+    assert len(log) == 5
+    assert [rec.delay for rec in log] == [0, 65_535, 7, 65_536, 3]
+    assert log[3] is records[65_536]
+    assert log[-1] is records[3]
+    assert log[1:3] == [records[65_535], records[7]]
+
+
+class _ListLog(list):
+    """A verdict log that holds the records themselves, as a list."""
+
+    def __init__(self, records):
+        super().__init__()
+        self.records = records
+
+    def append(self, i):
+        super().append(self.records[i])
+
+
+@pytest.mark.parametrize("kind", ["sticky-gap240", "busy-reorder3"])
+def test_compact_log_reads_the_records_a_list_log_held(monkeypatch, kind):
+    # the two traces of tests/test_replay_digests.py
+    if kind == "sticky-gap240":
+        trace, options = benchmark_gen(240).sticky_trace(0, 400), SimulationOptions()
+    else:
+        trace = benchmark_gen().busy_trace(1, 220)
+        options = SimulationOptions(delivery=DeliveryPolicy("reorder", 3), seed=1)
+    reg = registry.bundled("amiqual")
+    compact = run_simulation(reg, trace, options)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "VerdictLog", _ListLog)
+        listed = run_simulation(reg, trace, options)
+    assert sorted(compact.verdicts) == sorted(listed.verdicts)
+    for label, log in compact.verdicts.items():
+        assert isinstance(log, simulator.VerdictLog)
+        assert len(log) == len(listed.verdicts[label]) == len(trace)
+        for t, rec in enumerate(listed.verdicts[label]):
+            assert log[t] == rec, (label, t)
+    # the writers read any sequence of records, a plain list too
+    for name in REPORTS:
+        assert getattr(listed, name)() == getattr(compact, name)(), name

@@ -108,12 +108,14 @@ def test_poll_config():
 
 
 def test_poll_trace():
-    trace = poll_trace(
-        [
-            Periphery("a", _log((0, "ON"), (3, "OFF"))),
-            Periphery("b", _log((2, "ON"))),
-        ],
-        PollConfig(0, 5, 1),
+    trace = list(
+        poll_trace(
+            [
+                Periphery("a", _log((0, "ON"), (3, "OFF"))),
+                Periphery("b", _log((2, "ON"))),
+            ],
+            PollConfig(0, 5, 1),
+        )
     )
     assert trace == [
         {"a": True, "b": False},
@@ -122,6 +124,38 @@ def test_poll_trace():
         {"a": False, "b": True},
         {"a": False, "b": True},
     ]
+
+
+def test_advancing_poll_trace_once_polls_one_round():
+    # an unreadable entry at time 1 surfaces only when round 1 is asked for
+    interpreted = []
+
+    class Counted(BoolKind):
+        def interpret(self, raw, origin):
+            interpreted.append(raw)
+            return super().interpret(raw, origin)
+
+    periphery = Periphery("a", _log((0, "ON"), (1, "BAD"), (2, "OFF")), Counted())
+    rounds = poll_trace([periphery], PollConfig(0, 3, 1))
+    assert next(rounds) == {"a": True}
+    assert interpreted == ["ON"]
+    with pytest.raises(SensorDataError, match="'BAD'"):
+        next(rounds)
+
+
+def test_poll_trace_matches_polling_each_round():
+    # a forward cursor per periphery lands where bisecting each round does
+    rng = random.Random(9)
+    for _ in range(30):
+        peripheries = []
+        for ap in "abc":
+            times = sorted(rng.sample(range(0, 300), rng.randint(0, 12)))
+            values = tuple(rng.choice(("ON", "OFF")) for _ in times)
+            log = SensorLog(tuple(times), values)
+            peripheries.append(Periphery(ap, log, default=rng.random() < 0.5))
+        cfg = PollConfig(rng.randint(-20, 40), 320, rng.randint(1, 30))
+        expected = [{p.ap: p.poll(t) for p in peripheries} for t in cfg.times()]
+        assert list(poll_trace(peripheries, cfg)) == expected
 
 
 def test_manifest_parsing(tmp_path):
@@ -230,7 +264,7 @@ def test_logs_from_rounds_roundtrip():
     ]
     logs = logs_from_rounds(rounds, cfg)
     peripheries = [Periphery(ap, log) for ap, log in logs.items()]
-    assert poll_trace(peripheries, cfg) == rounds
+    assert list(poll_trace(peripheries, cfg)) == rounds
 
 
 def test_polling_at_change_rate_loses_no_change():

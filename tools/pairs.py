@@ -1,12 +1,12 @@
 """Alternating benchmark pairs: a parent checkout against a change.
 
-    python3 tools/pairs.py PARENT CHANGE [--pairs 10]
+    python3 tools/pairs.py PARENT CHANGE [--pairs 10] [--seed 0]
 
-Runs ``benchmarks/run.py --workload all`` of each checkout ``--pairs``
-times, at the benchmark's own run length, the two sides taking turns to
-go first, with ``PYTHONDONTWRITEBYTECODE=1`` so that no run leaves
-bytecode for the next; give it fresh copies (``git archive``), with no
-``__pycache__`` either.
+Runs ``benchmarks/run.py --workload all --seed SEED`` of each checkout
+``--pairs`` times, at the benchmark's own run length, the two sides
+taking turns to go first, with ``PYTHONDONTWRITEBYTECODE=1`` so that no
+run leaves bytecode for the next; give it fresh copies (``git archive``),
+with no ``__pycache__`` either.
 For each workload and end-to-end metric of the change's ``BENCHMARK.json``
 it prints each side's median and quartiles, how many pairs the change
 won, and a verdict:
@@ -65,12 +65,12 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "within bound"
 
 
-def run_all(checkout: str) -> dict:
-    """The last line of one ``run.py --workload all``, parsed."""
+def run_all(checkout: str, seed: int) -> dict:
+    """The last line of one ``run.py --workload all --seed seed``, parsed."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, os.path.join(checkout, "benchmarks", "run.py"),
-         "--workload", "all"],
+         "--workload", "all", "--seed", str(seed)],
         stdout=subprocess.PIPE, text=True, check=True, env=env,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -86,6 +86,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(sides["change"], "BENCHMARK.json")) as f:
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for name in order:
-            result = run_all(sides[name])
+            result = run_all(sides[name], args.seed)
             results[name].append(result)
             print(f"pair {i + 1} {name}: {json.dumps(result)}", file=sys.stderr, flush=True)
 
