@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/parse error, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -97,11 +98,11 @@ def _load_spec(name: str) -> registry.Registry:
 
 
 def cmd_synth(args) -> int:
+    if (args.target is None) == (args.rooms is None):
+        print("decrv synth: give either a target or --rooms", file=sys.stderr)
+        return EXIT_USAGE
     if args.rooms is not None:
         reg: Optional[registry.Registry] = registry.light_switch_family(args.rooms)
-    elif args.target is None:
-        print("decrv synth: a target or --rooms is required", file=sys.stderr)
-        return EXIT_USAGE
     elif os.path.exists(args.target) or args.target.endswith(".dspec"):
         reg = registry.load_registry_file(args.target)
     else:
@@ -158,12 +159,13 @@ def _parse_delivery(text: str) -> tuple[simulator.DeliveryPolicy, int]:
     from . import simulator
 
     parts = text.split(":")
-    if parts[0] == "immediate" and len(parts) == 1:
-        return simulator.DeliveryPolicy("immediate"), 0
-    if parts[0] == "delay" and len(parts) == 2 and int(parts[1]) >= 0:
-        return simulator.DeliveryPolicy("delay", int(parts[1])), 0
-    if parts[0] == "reorder" and len(parts) == 3 and int(parts[1]) >= 0:
-        return simulator.DeliveryPolicy("reorder", int(parts[1])), int(parts[2])
+    with contextlib.suppress(ValueError):  # a number that does not parse
+        if parts[0] == "immediate" and len(parts) == 1:
+            return simulator.DeliveryPolicy("immediate"), 0
+        if parts[0] == "delay" and len(parts) == 2 and int(parts[1]) >= 0:
+            return simulator.DeliveryPolicy("delay", int(parts[1])), 0
+        if parts[0] == "reorder" and len(parts) == 3 and int(parts[1]) >= 0:
+            return simulator.DeliveryPolicy("reorder", int(parts[1])), int(parts[2])
     raise ValueError(f"bad --delivery value {text!r}")
 
 

@@ -84,11 +84,6 @@ def sadv(cond: Trigger, memory: Memory, t: int) -> bool:
     raise TypeError(f"unknown trigger {cond!r}")
 
 
-def sadvs(cond: Trigger, memory: Memory, t_cur: int, t_max: int) -> set[int]:
-    """Rounds in (t_cur, t_max] whose stored verdicts satisfy the condition."""
-    return {t for t in range(t_cur + 1, t_max + 1) if sadv(cond, memory, t)}
-
-
 class _Entry:
     """A step-table or narrow-table entry: the row one key leads to, in its
     own frame, as ``(q, expression)`` pairs, with its rewrite count, what

@@ -368,12 +368,12 @@ def _expansion_target(node: _Node, r: int) -> Optional[int]:
     t_max = node.ehe.memory.max_time()
     if t_max is None:
         return None
-    # matches at t_last itself still matter: concluding round t needs the
-    # encoding expanded to t + 1
-    hits = ehe_mod.sadvs(node.expansion, node.ehe.memory, node.ehe.t_last - 1, t_max)
-    if not hits:
-        return None
-    return max(hits) + 1
+    # the latest match counts, down to t_last itself: concluding round t
+    # needs the encoding expanded to t + 1
+    for t in range(t_max, node.ehe.t_last - 1, -1):
+        if ehe_mod.sadv(node.expansion, node.ehe.memory, t):
+            return t + 1
+    return None
 
 
 def _step_node(node: _Node, r: int, records: _Records) -> list[Message]:

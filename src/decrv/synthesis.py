@@ -8,11 +8,12 @@ subsets, held as one int: the positive subset in the low bits, the
 negative one above them.  The verdict is TRUE when the negation side dies,
 FALSE when the positive side dies, UNKNOWN otherwise.
 
-Each good automaton state's successor table is packed into one int with a
-lane of whole 64-bit words per event, so a monitor state's successors
-under every event are its members' packed tables ORed.  The tableau sorts
-obligations and disjuncts by node ``repr``, computed once per node, which
-keeps the automaton's numbering independent of the hash seed.
+Each good automaton state's successors are packed, straight from its
+transitions' cubes, into one int with a lane of whole 64-bit words per
+event, so a monitor state's successors under every event are its members'
+packed ints ORed.  The tableau sorts obligations and disjuncts by node
+``repr``, computed once per node, which keeps the automaton's numbering
+independent of the hash seed.
 
 Events are total truth assignments over the alphabet, encoded as bitmasks
 (bit i set means the i-th alphabet proposition holds).
@@ -23,7 +24,6 @@ from __future__ import annotations
 import struct
 import sys
 import time
-from array import array
 from collections import deque
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -313,36 +313,33 @@ class _Buchi:
                     frontier.append(pred)
         return frozenset(good)
 
-    def tables(self, n_props: int) -> tuple[int, list[list[int]]]:
-        """Number the good states 0, 1, ...; return the initial subset and,
-        per good state, event -> bitmask of its good successors.
+    def tables(self, n_props: int, lane: int, shift: int) -> tuple[int, list[int]]:
+        """Number the good states ``shift``, ``shift + 1``, ...; return the
+        initial subset and, per good state, its good successors packed into
+        one int, those under event e in lane e, ``lane`` bits wide.
 
         A transition's events are its cube: the ``pm`` bits set, the ``nm``
-        bits clear, and every submask of the remaining free bits.
-        """
-        number: dict = {}
-        for state in self.transitions:
-            if state in self.good:
-                number[state] = len(number)
+        bits clear, each free bit either way.  A cube's successors are put
+        in lane ``pm``, then doubled once per free bit i, by a shift of
+        ``lane << i``, into the lanes of every event of the cube."""
+        good = [state for state in self.transitions if state in self.good]
+        number = {state: shift + i for i, state in enumerate(good)}
         full = (1 << n_props) - 1
-        tables = []
+        packed = []
         for state in number:
-            table = [0] * (full + 1)
+            cubes: dict = {}  # (pm, nm) -> good successors
             for pm, nm, dst in self.transitions[state]:
-                j = number.get(dst)
-                if j is None:
-                    continue
-                bit = 1 << j
-                free = full & ~(pm | nm)
-                sub = free
-                while True:
-                    table[pm | sub] |= bit
-                    if not sub:
-                        break
-                    sub = (sub - 1) & free
-            tables.append(table)
+                if dst in number:
+                    cubes[pm, nm] = cubes.get((pm, nm), 0) | 1 << number[dst]
+            table = 0
+            for (pm, nm), succ in cubes.items():
+                lanes = succ << pm * lane
+                for i in _bits(full & ~(pm | nm)):
+                    lanes |= lanes << (lane << i)
+                table |= lanes
+            packed.append(table)
         start = 1 << number[self.initial] if self.initial in number else 0
-        return start, tables
+        return start, packed
 
 
 def _sccs(succ: Mapping) -> list[list]:
@@ -388,18 +385,6 @@ def _sccs(succ: Mapping) -> list[list]:
     return out
 
 
-def _pack(table: list[int], n_bits: int, words: int) -> int:
-    """An event table of ``n_bits``-bit entries as one int: event e's entry
-    in lane e, each lane ``words`` 64-bit words wide.  Entries that fit a
-    word go through an array in bulk, wider ones one by one."""
-    if n_bits > 64:
-        lanes = b"".join([v.to_bytes(8 * words, sys.byteorder) for v in table])
-    else:
-        lanes = array("Q", bytes(8 * words * len(table)))
-        lanes[::words] = array("Q", table)
-    return int.from_bytes(lanes, sys.byteorder)
-
-
 class _Numbering(dict):
     """Numbers each key at its first lookup; ``order`` lists them by number."""
 
@@ -433,20 +418,19 @@ def synthesize(
         )
     pos_nba = _Buchi(_nnf(f, False), alphabet, limit, deadline)
     neg_nba = _Buchi(_nnf(f, True), alphabet, limit, deadline)
-    pos_start, pos_tables = pos_nba.tables(len(alphabet))
-    neg_start, neg_tables = neg_nba.tables(len(alphabet))
-
-    # Lanes, read back as bytes, key the numbering of monitor states.
-    shift = len(pos_tables)
-    words = max(1, -(-(shift + len(neg_tables)) // 64))
-    packed = [_pack(t, shift, words) for t in pos_tables]
-    packed += [_pack(t, len(neg_tables), words) << shift for t in neg_tables]
+    # Lanes of whole 64-bit words, the negation side's bits above the
+    # positive side's; read back as bytes, they key the monitor states.
+    shift = len(pos_nba.good)
+    words = max(1, -(-(shift + len(neg_nba.good)) // 64))
+    pos_start, packed = pos_nba.tables(len(alphabet), 64 * words, 0)
+    neg_start, neg_packed = neg_nba.tables(len(alphabet), 64 * words, shift)
+    packed += neg_packed
     lane = 8 * words
     size = lane << len(alphabet)
     unpack = struct.Struct(f"{lane}s" * (1 << len(alphabet))).unpack
     pos_mask = (1 << shift) - 1
     numbering = _Numbering()
-    numbering[(pos_start | neg_start << shift).to_bytes(lane, sys.byteorder)]  # state 0
+    numbering[(pos_start | neg_start).to_bytes(lane, sys.byteorder)]  # state 0
     delta: list[list[int]] = []
     labels = []
     for key in numbering.order:  # grows as successors are numbered: a BFS

@@ -45,8 +45,8 @@ def load_log(path) -> SensorLog:
 
 
 def parse_log(text: str, origin: str = "") -> SensorLog:
-    """Two-column CSV ``timestamp_ms,value``; a first row whose timestamp is
-    not a number is a header and is skipped."""
+    """Two-column CSV ``timestamp_ms,value``; a first row whose timestamp
+    cell is neither empty nor a number is a header and is skipped."""
     times: list[int] = []
     values: list[str] = []
     reader = csv.reader(io.StringIO(text))
@@ -57,7 +57,7 @@ def parse_log(text: str, origin: str = "") -> SensorLog:
         try:
             t = int(first)
         except ValueError:
-            if times or _is_number(first):
+            if times or not first or _is_number(first):
                 raise SensorDataError(
                     f"{origin}:{reader.line_num}: non-integer timestamp {first!r}"
                 ) from None
@@ -75,14 +75,6 @@ def _is_number(text: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-def save_log(path, log: SensorLog) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["timestamp_ms", "value"])
-        for t, v in zip(log.times, log.values):
-            writer.writerow([t, v])
 
 
 class BoolKind(NamedTuple):
@@ -126,13 +118,6 @@ class Periphery(NamedTuple):
     source: SensorLog
     kind: Kind = BoolKind()
     default: bool = False
-
-    def poll(self, t: int) -> bool:
-        """Interpreted value of the latest entry at or before t."""
-        i = bisect.bisect_right(self.source.times, t)
-        if i == 0:
-            return self.default
-        return self.kind.interpret(self.source.values[i - 1], self.source.origin)
 
     def changes(self) -> list[int]:
         """Timestamps where the interpreted value is first set or flips."""
@@ -286,30 +271,3 @@ def rate_analysis(
         agg_max = hi if agg_max is None else max(agg_max, hi)
     return RateReport(tuple(rows), agg_min, agg_max)
 
-
-# --- synthetic scenario logs ----------------------------------------------
-
-
-def logs_from_rounds(
-    rounds: Sequence[dict[str, bool]],
-    config: PollConfig,
-    true_token: str = "ON",
-    false_token: str = "OFF",
-) -> dict[str, SensorLog]:
-    """Per-proposition change logs whose polled reconstruction equals the
-    given per-round assignments (first round always logged explicitly)."""
-    aps = sorted({ap for event in rounds for ap in event})
-    times = list(config.times())[: len(rounds)]
-    out = {}
-    for ap in aps:
-        entry_times: list[int] = []
-        values: list[str] = []
-        last: Optional[bool] = None
-        for t, event in zip(times, rounds):
-            value = event.get(ap, False)
-            if last is None or value != last:
-                entry_times.append(t)
-                values.append(true_token if value else false_token)
-                last = value
-        out[ap] = SensorLog(tuple(entry_times), tuple(values), origin=f"<{ap}>")
-    return out

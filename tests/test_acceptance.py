@@ -229,7 +229,7 @@ def test_criterion_7_recommended_rate_polling_loses_no_change():
             continue
         interval = traceio.rate_analysis([p]).recommended_interval
         config = traceio.PollConfig(0, times[-1] + interval + 1, interval)
-        sampled = [p.poll(t) for t in config.times()]
+        sampled = [event["x"] for event in traceio.poll_trace([p], config)]
         # run-length decode both streams: the change count must match
         sampled_changes = [sampled[0] is True] + [
             True for a, b in zip(sampled, sampled[1:]) if a != b

@@ -143,6 +143,13 @@ def test_synth_formula_rejects_monitor_flags(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+def test_synth_target_with_rooms_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["synth", "amiqual", "--rooms", "1", "--out", str(out)]) == 1
+    assert "--rooms" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_label_and_centralized_are_exclusive(capsys):
     assert main(["synth", "--rooms", "2", "--label", "nosuch", "--centralized", "sc_ok"]) == 1
     assert "not allowed with" in capsys.readouterr().err
@@ -264,9 +271,11 @@ def test_replay_bad_delivery_reported_before_missing_manifest(workspace, capsys)
     assert "ghost.manifest" not in err
 
 
-@pytest.mark.parametrize("value", ["delay:-1", "reorder:-2:0"])
+@pytest.mark.parametrize(
+    "value", ["delay:-1", "reorder:-2:0", "delay:x", "reorder:3:x", "reorder:x:1"]
+)
 def test_replay_negative_delivery_delay_is_usage_error(workspace, capsys, value):
-    # a bad flag value exits 1, like any other usage error
+    # a bad flag value exits 1, like any other usage error, and names itself
     code, _ = _replay(workspace, "negative", "--delivery", value)
     assert code == 1
     assert f"bad --delivery value {value!r}" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import itertools
 import random
 
 from decrv import ehe, expr, ltl, synthesis
-from decrv.ehe import EHE, sadv, sadvs
+from decrv.ehe import EHE, sadv
 from decrv.expr import Atom
 from decrv.memory import Memory
 from decrv.registry import TriggerAnd, TriggerLit, TriggerOr
@@ -207,18 +207,6 @@ def test_sadv_conjunction():
     m.store(Atom(2, "M1"), False)
     assert sadv(TriggerAnd(TriggerLit("M0", True), TriggerLit("M1", False)), m, 2)
     assert not sadv(TriggerAnd(TriggerLit("M0", True), TriggerLit("M1", True)), m, 2)
-
-
-def test_sadvs_collects_matching_rounds():
-    cond = TriggerOr(TriggerLit("M0", False), TriggerLit("M1", False))
-    m = Memory()
-    m.store(Atom(5, "M0"), False)
-    assert sadvs(cond, m, 2, 5) == {5}
-    assert sadvs(cond, Memory(), 2, 5) == set()
-    m2 = Memory()
-    m2.store(Atom(3, "M0"), False)
-    m2.store(Atom(7, "M0"), False)
-    assert sadvs(cond, m2, 0, 7) == {3, 7}
 
 
 def test_dump_rows():

@@ -10,7 +10,9 @@ import sys
 import pytest
 
 from decrv import expr, ltl, oracle, registry, simulator, synthesis
-from decrv.registry import load_registry
+from decrv.expr import Atom
+from decrv.memory import Memory
+from decrv.registry import TriggerLit, TriggerOr, load_registry
 from decrv.simulator import (
     DeliveryPolicy,
     SimulationError,
@@ -250,6 +252,29 @@ def test_lazy_expansion_still_concludes_on_violation():
     assert _verdict_values(lazy) == _verdict_values(eager)
     pair = lazy.verdicts["pair"]
     assert pair[0].verdict is Verdict.FALSE
+
+
+def test_expansion_target_is_one_past_the_latest_matching_round():
+    # a trigger expands the encoding to one past its latest match in
+    # [t_last, t_max] of the memory, and holds when nothing there matches
+    cond = TriggerOr(TriggerLit("M0", False), TriggerLit("M1", False))
+    monitor = synthesis.build(ltl.parse("G !a"))
+
+    def target(stored, t_last):
+        memory = Memory()
+        for t, label, value in stored:
+            memory.store(Atom(t, label), value)
+        node = simulator._Node(
+            "m", simulator.EHE(monitor, t_last, memory), (), [], cond, False,
+            simulator.VerdictLog([]),
+        )
+        return simulator._expansion_target(node, t_last)
+
+    assert target([(5, "M0", False)], 3) == 6
+    assert target([], 3) is None
+    assert target([(3, "M0", False), (7, "M0", False)], 1) == 8
+    assert target([(4, "M0", False), (6, "M1", True)], 4) == 5  # a match at t_last
+    assert target([(2, "M0", False), (5, "M0", True)], 3) is None
 
 
 def test_wildcard_expansion():

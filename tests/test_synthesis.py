@@ -184,15 +184,27 @@ def test_centralized_sc_ok_state_counts(rooms, subset_states, monitor_states):
 
 def _reference_synthesize(f):
     """Reference: the subset construction over (pos, neg) pairs of subsets,
-    where a subset's successor under an event is the OR of its members'
-    ``_Buchi.tables`` rows; states numbered by BFS over events."""
+    where a subset's successor under an event is the set of its members'
+    good successors along the transitions whose cubes hold that event,
+    checked event by event; states numbered by BFS over events."""
     f = ltl.desugar(f)
     alphabet = tuple(sorted(ltl.propositions(f)))
     n_events = 1 << len(alphabet)
-    starts, tables = zip(*(
-        synthesis._Buchi(synthesis._nnf(f, negated), alphabet, 2**20).tables(len(alphabet))
-        for negated in (False, True)
-    ))
+    starts, tables = [], []
+    for negated in (False, True):
+        nba = synthesis._Buchi(synthesis._nnf(f, negated), alphabet, 2**20)
+        number = {s: i for i, s in enumerate(s for s in nba.transitions if s in nba.good)}
+        table = []
+        for state in number:
+            succ = [0] * n_events
+            for pm, nm, dst in nba.transitions[state]:
+                for event in range(n_events):
+                    if event & pm == pm and not event & nm and dst in number:
+                        succ[event] |= 1 << number[dst]
+            table.append(succ)
+        starts.append(1 << number[nba.initial] if nba.initial in number else 0)
+        tables.append(table)
+    starts = tuple(starts)
 
     def row(side, subset):
         out = [0] * n_events

@@ -1,5 +1,6 @@
 """Sensor logs, polling semantics, manifests, change-rate analysis."""
 
+import bisect
 import random
 
 import pytest
@@ -13,16 +14,23 @@ from decrv.traceio import (
     SensorDataError,
     SensorLog,
     ThresholdKind,
-    logs_from_rounds,
     parse_log,
     parse_manifest,
     poll_trace,
     rate_analysis,
 )
 
+from conftest import benchmark_gen
+
 
 def _log(*entries):
     return SensorLog(tuple(t for t, _ in entries), tuple(v for _, v in entries))
+
+
+def _poll(p, t):
+    """The periphery's value at time t, from a one-round ``poll_trace``."""
+    (event,) = poll_trace([p], PollConfig(t, t + 1, 1))
+    return event[p.ap]
 
 
 def test_parse_log_with_header():
@@ -43,49 +51,41 @@ def test_log_rejects_unordered_times():
         _log((100, "ON"), (50, "OFF"))
 
 
-def test_save_and_load_roundtrip(tmp_path):
-    log = _log((100, "ON"), (500, "OFF"))
-    path = tmp_path / "door.csv"
-    traceio.save_log(path, log)
-    back = traceio.load_log(path)
-    assert back.times == log.times and back.values == log.values
-
-
 def test_hold_last_value_polling():
     p = Periphery("door", _log((100, "ON"), (500, "OFF")))
-    assert p.poll(99) is False  # before any entry: default
-    assert p.poll(100) is True  # boundary: entry at t counts
-    assert p.poll(499) is True
-    assert p.poll(500) is False
-    assert p.poll(10_000) is False
+    assert _poll(p, 99) is False  # before any entry: default
+    assert _poll(p, 100) is True  # boundary: entry at t counts
+    assert _poll(p, 499) is True
+    assert _poll(p, 500) is False
+    assert _poll(p, 10_000) is False
 
 
 def test_default_true():
     p = Periphery("door", _log((100, "OFF")), default=True)
-    assert p.poll(0) is True
-    assert p.poll(100) is False
+    assert _poll(p, 0) is True
+    assert _poll(p, 100) is False
 
 
 def test_bool_kind_rejects_unknown_token():
     p = Periphery("door", _log((100, "MAYBE")))
     with pytest.raises(SensorDataError):
-        p.poll(100)
+        _poll(p, 100)
 
 
 def test_custom_token_table():
     kind = BoolKind((("1", True), ("0", False)))
     p = Periphery("x", _log((10, "1"), (20, "0")), kind)
-    assert p.poll(10) is True and p.poll(20) is False
+    assert _poll(p, 10) is True and _poll(p, 20) is False
 
 
 def test_threshold_boundary_counts_as_above():
     kind = ThresholdKind(3.0, True)
     p = Periphery("flow", _log((0, "3.0"), (10, "2.9"), (20, "5.2")), kind)
-    assert p.poll(0) is True
-    assert p.poll(10) is False
-    assert p.poll(20) is True
+    assert _poll(p, 0) is True
+    assert _poll(p, 10) is False
+    assert _poll(p, 20) is True
     below = Periphery("flow", _log((0, "3.0")), ThresholdKind(3.0, False))
-    assert below.poll(0) is False
+    assert _poll(below, 0) is False
 
 
 def test_threshold_rejects_non_numeric():
@@ -94,7 +94,7 @@ def test_threshold_rejects_non_numeric():
         log = SensorLog((0,), (raw,), "flow.csv")
         p = Periphery("flow", log, ThresholdKind(1.0, False))
         with pytest.raises(SensorDataError, match="flow.csv"):
-            p.poll(0)
+            _poll(p, 0)
 
 
 def test_poll_config():
@@ -143,6 +143,14 @@ def test_advancing_poll_trace_once_polls_one_round():
         next(rounds)
 
 
+def _bisect_poll(p, t):
+    """Reference: interpret the latest entry at or before t, found anew."""
+    i = bisect.bisect_right(p.source.times, t)
+    if i == 0:
+        return p.default
+    return p.kind.interpret(p.source.values[i - 1], p.source.origin)
+
+
 def test_poll_trace_matches_polling_each_round():
     # a forward cursor per periphery lands where bisecting each round does
     rng = random.Random(9)
@@ -154,7 +162,7 @@ def test_poll_trace_matches_polling_each_round():
             log = SensorLog(tuple(times), values)
             peripheries.append(Periphery(ap, log, default=rng.random() < 0.5))
         cfg = PollConfig(rng.randint(-20, 40), 320, rng.randint(1, 30))
-        expected = [{p.ap: p.poll(t) for p in peripheries} for t in cfg.times()]
+        expected = [{p.ap: _bisect_poll(p, t) for p in peripheries} for t in cfg.times()]
         assert list(poll_trace(peripheries, cfg)) == expected
 
 
@@ -168,9 +176,9 @@ flow, flow.csv, thresh:3.0:above, default=true
 """
     peripheries = parse_manifest(text, base_dir=str(tmp_path))
     assert [p.ap for p in peripheries] == ["door", "flow"]
-    assert peripheries[0].poll(100) is True
+    assert _poll(peripheries[0], 100) is True
     assert peripheries[1].default is True
-    assert peripheries[1].poll(0) is True
+    assert _poll(peripheries[1], 0) is True
 
 
 def test_manifest_custom_bool_tokens(tmp_path):
@@ -178,7 +186,7 @@ def test_manifest_custom_bool_tokens(tmp_path):
     peripheries = parse_manifest(
         "x, x.csv, bool:1=true:0=false, default=false", base_dir=str(tmp_path)
     )
-    assert peripheries[0].poll(0) is True and peripheries[0].poll(5) is False
+    assert _poll(peripheries[0], 0) is True and _poll(peripheries[0], 5) is False
 
 
 @pytest.mark.parametrize(
@@ -201,7 +209,13 @@ def test_manifest_errors(line, tmp_path):
 
 @pytest.mark.parametrize(
     ("text", "line"),
-    [("0,ON\n1.5,OFF\n", 2), ("1.5,OFF\n", 1), ("timestamp_ms,value\n0,ON\nlater,OFF\n", 3)],
+    [
+        ("0,ON\n1.5,OFF\n", 2),
+        ("1.5,OFF\n", 1),
+        ("timestamp_ms,value\n0,ON\nlater,OFF\n", 3),
+        (",ON\n5,OFF\n", 1),  # an empty first cell is no header
+        (" ,ON\n", 1),
+    ],
 )
 def test_non_integer_timestamp_names_file_and_line(tmp_path, text, line):
     path = tmp_path / "door.csv"
@@ -256,15 +270,22 @@ def test_rate_analysis_filters_by_used_aps():
     assert report.max_gap == 10
 
 
-def test_logs_from_rounds_roundtrip():
+def test_save_and_load_roundtrip(tmp_path):
+    # a change log saved by the benchmark's writer loads back entry for entry
+    rounds = [{"door": True}, {"door": True}, {"door": False}]
+    benchmark_gen().write_logs(str(tmp_path), rounds, 250)
+    back = traceio.load_log(tmp_path / "logs" / "door.csv")
+    assert back.times == (0, 500) and back.values == ("ON", "OFF")
+
+
+def test_logs_from_rounds_roundtrip(tmp_path):
+    # the benchmark's CSV logs, read back through the manifest, poll to the
+    # rounds they were written from
     rng = random.Random(4)
-    cfg = PollConfig(0, 200, 10)
-    rounds = [
-        {"a": rng.random() < 0.5, "b": rng.random() < 0.5} for _ in range(20)
-    ]
-    logs = logs_from_rounds(rounds, cfg)
-    peripheries = [Periphery(ap, log) for ap, log in logs.items()]
-    assert list(poll_trace(peripheries, cfg)) == rounds
+    rounds = [{"a": rng.random() < 0.5, "b": rng.random() < 0.5} for _ in range(20)]
+    manifest = benchmark_gen().write_logs(str(tmp_path), rounds, 10)
+    peripheries = traceio.load_manifest(manifest)
+    assert list(poll_trace(peripheries, PollConfig(0, 200, 10))) == rounds
 
 
 def test_polling_at_change_rate_loses_no_change():
@@ -282,7 +303,7 @@ def test_polling_at_change_rate_loses_no_change():
             continue
         interval = min(b - a for a, b in zip(changes, changes[1:]))
         cfg = PollConfig(0, times[-1] + interval + 1, interval)
-        sampled = [p.poll(t) for t in cfg.times()]
+        sampled = [event["x"] for event in poll_trace([p], cfg)]
         flips = 1 + sum(1 for x, y in zip(sampled, sampled[1:]) if x != y)
         # every change shows up as a flip in the sampled stream
         assert flips >= len(changes)
