@@ -24,7 +24,6 @@ from __future__ import annotations
 import struct
 import sys
 import time
-from collections import deque
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import expr, ltl
@@ -71,27 +70,6 @@ class MooreMonitor:
 
     def verdict(self, state: int) -> Verdict:
         return self.labels[state]
-
-    def step(self, state: int, event: int) -> int:
-        return self.delta[state][event]
-
-    def event_mask(self, assignment: Mapping[str, bool]) -> int:
-        mask = 0
-        for i, name in enumerate(self.alphabet):
-            try:
-                if assignment[name]:
-                    mask |= 1 << i
-            except KeyError:
-                raise ValueError(f"event missing proposition {name!r}") from None
-        return mask
-
-    def run(self, events: Iterable[Mapping[str, bool]]) -> list[Verdict]:
-        state = self.initial
-        out = []
-        for ev in events:
-            state = self.delta[state][self.event_mask(ev)]
-            out.append(self.labels[state])
-        return out
 
     def edge_events(self) -> list[dict[int, list[int]]]:
         """Per source state: destination -> sorted list of event masks."""
@@ -457,35 +435,27 @@ def minimize(m: MooreMonitor) -> MooreMonitor:
     """Quotient by Moore equivalence (partition refinement), renumber by BFS."""
     label_classes: dict[Verdict, int] = {}
     cls = [label_classes.setdefault(lab, len(label_classes)) for lab in m.labels]
-    while True:
+    count = len(label_classes)
+    while True:  # each round refines the last; equal counts mean a fixpoint
         signatures: dict[tuple, int] = {}
-        new_cls = []
-        for q in range(m.n_states):
-            sig = (cls[q],) + tuple(cls[d] for d in m.delta[q])
-            new_cls.append(signatures.setdefault(sig, len(signatures)))
-        if new_cls == cls:
+        get = cls.__getitem__
+        cls = [
+            signatures.setdefault((c, *map(get, row)), len(signatures))
+            for c, row in zip(cls, m.delta)
+        ]
+        if len(signatures) == count:
             break
-        cls = new_cls
+        count = len(signatures)
 
     representative: dict[int, int] = {}
-    for q in range(m.n_states):
-        representative.setdefault(cls[q], q)
-
-    numbering = {cls[m.initial]: 0}
-    order = [cls[m.initial]]
-    queue = deque([cls[m.initial]])
-    while queue:
-        c = queue.popleft()
-        for d in m.delta[representative[c]]:
-            if cls[d] not in numbering:
-                numbering[cls[d]] = len(order)
-                order.append(cls[d])
-                queue.append(cls[d])
-
-    delta = [
-        [numbering[cls[d]] for d in m.delta[representative[c]]] for c in order
-    ]
-    labels = [m.labels[representative[c]] for c in order]
+    for q, c in enumerate(cls):
+        representative.setdefault(c, q)
+    numbering = _Numbering()
+    numbering[cls[m.initial]]  # class 0
+    delta = []
+    for c in numbering.order:  # grows as successors are numbered: a BFS
+        delta.append([numbering[cls[d]] for d in m.delta[representative[c]]])
+    labels = [m.labels[representative[c]] for c in numbering.order]
     return MooreMonitor(m.alphabet, 0, delta, labels)
 
 
@@ -506,11 +476,13 @@ def build(f: ltl.Formula, max_states: Optional[int] = None) -> MooreMonitor:
 
 # --- guard extraction -----------------------------------------------------
 #
-# A guard is the sum of products that SymPy 1.14's ``SOPform`` picks:
-# Quine-McCluskey merging (``_simplified_pairs``), then its dominance and
-# greedy cover (``_rem_redundancy``), ported here over int bitmasks and
-# walked in SymPy's own order.  A term is a pair ``(v, d)``: the bits of d
-# are don't-cares and every other bit reads as in v.
+# A guard is the sum of products that SymPy 1.14's ``SOPform`` picks: the
+# primes in the order its Quine-McCluskey merging (``_simplified_pairs``)
+# lists them, then its dominance and greedy cover (``_rem_redundancy``),
+# ported here over int bitmasks.  The primes come from a sweep over the
+# truth table (Brayton et al. 1984), not from merging minterms.  A term is
+# a pair ``(v, d)``: the bits of d are don't-cares and every other bit
+# reads as in v.
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -520,31 +492,51 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _sop_pairs(terms: list[tuple[int, int]], full: int) -> list[tuple[int, int]]:
-    """Merge terms that differ in one bit, level by level; each level's
-    unmerged terms follow those of the levels merged from it."""
+def _sop_pairs(events: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """The prime implicants of the events over n propositions, in SymPy's
+    order: deeper levels first; within a level, by the least event's
+    popcount and position in ``events``, then the sorted positions of its
+    neighbours in the cube; level 0 by position alone.
+
+    Bit v of ``level[d]`` says the cube ``(v, d)`` is an implicant, and
+    ``level[d] & level[d] >> 2^b``, on the v with bit b clear, says so of
+    ``(v, d | b)``.  The primes of a level are the cubes that no cube one
+    level up covers; two levels are held at a time."""
+    pos = {ev: i for i, ev in enumerate(events)}
+
+    def order(term: tuple[int, int]):
+        v, d = term
+        if not d:
+            return pos[v]
+        return v.bit_count(), pos[v], sorted(pos[v | 1 << b] for b in _bits(d))
+
+    table = bytearray((1 << n) + 7 >> 3)
+    for ev in events:
+        table[ev >> 3] |= 1 << (ev & 7)
+    ones = (1 << (1 << n)) - 1
+    clear = [ones // ((1 << (1 << b)) + 1) for b in range(n)]  # the v with bit b clear
     out: list[tuple[int, int]] = []
-    while terms:
-        index = {term: i for i, term in enumerate(terms)}
-        merged = [False] * len(terms)
-        level: dict[tuple[int, int], None] = {}  # insertion-ordered set
-        for i in sorted(range(len(terms)), key=lambda i: (terms[i][0].bit_count(), i)):
-            v, d = terms[i]
-            partners = []
-            free = full & ~(v | d)
-            while free:
-                bit = free & -free
-                free ^= bit
-                j = index.get((v | bit, d))
-                if j is not None:
-                    partners.append((j, bit))
-            if partners:
-                merged[i] = True
-                for j, bit in sorted(partners):
-                    merged[j] = True
-                    level[(v, d | bit)] = None
-        out[:0] = [term for term, done in zip(terms, merged) if not done]
-        terms = list(level)
+    level = {0: int.from_bytes(table, "little")}
+    while level:
+        up = {}
+        for d, imp in level.items():
+            for b in range(d.bit_length(), n):  # each d | b from one d
+                if got := imp & imp >> (1 << b) & clear[b]:
+                    up[d | 1 << b] = got
+        primes = []
+        for d, imp in level.items():
+            covered = 0
+            for b in range(n):
+                got = up.get(d | 1 << b, 0)  # 0 for b in d
+                covered |= got | got << (1 << b)
+            text = bin(imp & ~covered)[:1:-1]  # bit v at index v
+            v = text.find("1")
+            while v >= 0:
+                primes.append((v, d))
+                v = text.find("1", v + 1)
+        primes.sort(key=order)
+        out[:0] = primes
+        level = up
     return out
 
 
@@ -611,7 +603,8 @@ def guard_expr(m: MooreMonitor, events: Sequence[int]) -> expr.BoolExpr:
     """Sum-of-products guard covering the events, over time-0 atoms.
 
     It is the cover SymPy's ``SOPform`` picks, a heuristic one that is not
-    always minimal.  It is kept because identical guards keep every export
+    always minimal, taken from the primes of the truth-table sweep in
+    SymPy's order.  It is kept because identical guards keep every export
     and report byte-identical.  Products and literals come in the order of
     SymPy's ``ordered()``: positive literals by name, then negated ones by
     name; products by node count (``1 + #pos + 2 #neg``), then by literal
@@ -620,9 +613,8 @@ def guard_expr(m: MooreMonitor, events: Sequence[int]) -> expr.BoolExpr:
         return expr.BTRUE
     if not events:
         return expr.BFALSE
-    full = m.n_events - 1
     products = []
-    for v, d in _sop_cover(_sop_pairs([(ev, 0) for ev in events], full), events):
+    for v, d in _sop_cover(_sop_pairs(events, len(m.alphabet)), events):
         lits = sorted(
             (not v >> i & 1, name)
             for i, name in enumerate(m.alphabet)

@@ -45,25 +45,28 @@ def load_log(path) -> SensorLog:
 
 
 def parse_log(text: str, origin: str = "") -> SensorLog:
-    """Two-column CSV ``timestamp_ms,value``; a first row whose timestamp
-    cell is neither empty nor a number is a header and is skipped."""
+    """Two-column CSV ``timestamp_ms,value``; a first non-empty row whose
+    timestamp cell is neither empty nor a number is a header and is
+    skipped."""
     times: list[int] = []
     values: list[str] = []
     reader = csv.reader(io.StringIO(text))
+    rows = 0
     for row in reader:
         if not row:
             continue
+        rows += 1
         first = row[0].strip()
         try:
             t = int(first)
         except ValueError:
-            if times or not first or _is_number(first):
+            if rows > 1 or not first or _is_number(first):
                 raise SensorDataError(
                     f"{origin}:{reader.line_num}: non-integer timestamp {first!r}"
                 ) from None
             continue  # header
         if len(row) < 2:
-            raise SensorDataError(f"{origin}: malformed row {row!r}")
+            raise SensorDataError(f"{origin}:{reader.line_num}: malformed row {row!r}")
         times.append(t)
         values.append(row[1].strip())
     return SensorLog(tuple(times), tuple(values), origin)

@@ -31,6 +31,64 @@ def seval(e, memory, stats=None):
     return expr.simplify(expr.substitute_atoms(e, memory.get), stats)
 
 
+def event_mask(m, assignment) -> int:
+    """The event of monitor ``m`` for a truth assignment to its alphabet."""
+    mask = 0
+    for i, name in enumerate(m.alphabet):
+        try:
+            if assignment[name]:
+                mask |= 1 << i
+        except KeyError:
+            raise ValueError(f"event missing proposition {name!r}") from None
+    return mask
+
+
+def step(m, state: int, event: int) -> int:
+    return m.delta[state][event]
+
+
+def run_monitor(m, events) -> list:
+    """The verdict after each assignment of ``events``, from the initial state."""
+    state = m.initial
+    out = []
+    for ev in events:
+        state = m.delta[state][event_mask(m, ev)]
+        out.append(m.labels[state])
+    return out
+
+
+def qm_primes(events, n: int) -> list[tuple[int, int]]:
+    """Reference for ``synthesis._sop_pairs``: Quine-McCluskey merging, as
+    SymPy's ``_simplified_pairs`` does it.  Terms that differ in one bit
+    merge, level by level; each level's unmerged terms follow those of the
+    levels merged from it."""
+    full = (1 << n) - 1
+    terms = [(ev, 0) for ev in events]
+    out: list[tuple[int, int]] = []
+    while terms:
+        index = {term: i for i, term in enumerate(terms)}
+        merged = [False] * len(terms)
+        level: dict[tuple[int, int], None] = {}  # insertion-ordered set
+        for i in sorted(range(len(terms)), key=lambda i: (terms[i][0].bit_count(), i)):
+            v, d = terms[i]
+            partners = []
+            free = full & ~(v | d)
+            while free:
+                bit = free & -free
+                free ^= bit
+                j = index.get((v | bit, d))
+                if j is not None:
+                    partners.append((j, bit))
+            if partners:
+                merged[i] = True
+                for j, bit in sorted(partners):
+                    merged[j] = True
+                    level[(v, d | bit)] = None
+        out[:0] = [term for term, done in zip(terms, merged) if not done]
+        terms = list(level)
+    return out
+
+
 def all_events(props: list[str]) -> list[dict[str, bool]]:
     return [
         dict(zip(props, bits))

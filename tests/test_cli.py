@@ -12,6 +12,8 @@ from decrv import ltl, oracle, registry, simulator, synthesis
 from decrv.cli import main
 from decrv.verdicts import Verdict
 
+from conftest import step
+
 SPEC = """
 component sw { s }
 component lamp { l }
@@ -105,7 +107,17 @@ def test_synth_all_labels_exports_match_each_monitor(tmp_path, capsys):
                     for guard, dst in edges[q]
                     if oracle.evaluate3(guard, [event]) is Verdict.TRUE
                 ]
-                assert hits == [m.step(q, mask)], (label, q, event)
+                assert hits == [step(m, q, mask)], (label, q, event)
+
+
+def test_synth_central4_export_is_the_benchmark_reference(tmp_path, capsys):
+    expected = os.path.join(
+        os.path.dirname(__file__), os.pardir, "benchmarks", "expected", "central4_sc_ok.txt"
+    )
+    assert main(["synth", "--rooms", "4", "--centralized", "sc_ok", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(expected, "rb") as f:
+        assert (tmp_path / "sc_ok.txt").read_bytes() == f.read()
 
 
 def test_synth_capacity_exit_code(capsys):

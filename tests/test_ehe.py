@@ -10,7 +10,15 @@ from decrv.memory import Memory
 from decrv.registry import TriggerAnd, TriggerLit, TriggerOr
 from decrv.verdicts import Verdict
 
-from conftest import all_events, random_formula, random_trace, seval
+from conftest import (
+    all_events,
+    event_mask,
+    random_formula,
+    random_trace,
+    run_monitor,
+    seval,
+    step,
+)
 
 
 def fig2a():
@@ -158,12 +166,12 @@ def test_resolve_matches_run_under_full_memory():
         assert found is not None
         t, q, verdict = found
         assert t == len(trace)
-        expected = monitor.run(trace)[-1] if trace else monitor.labels[monitor.initial]
+        expected = run_monitor(monitor, trace)[-1] if trace else monitor.labels[monitor.initial]
         assert verdict is expected
-        # certainty must point at the very state run() reaches
+        # certainty must point at the very state run_monitor() reaches
         state = monitor.initial
         for event in trace:
-            state = monitor.step(state, monitor.event_mask(event))
+            state = step(monitor, state, event_mask(monitor, event))
         assert q == state
 
 

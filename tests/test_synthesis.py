@@ -1,5 +1,6 @@
 """Monitor synthesis: construction, minimization, oracle equivalence."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -12,7 +13,16 @@ from decrv import ltl, oracle, registry, synthesis
 from decrv.synthesis import SynthesisCapacityError
 from decrv.verdicts import Verdict
 
-from conftest import all_events, all_traces, random_formula, random_trace
+from conftest import (
+    all_events,
+    all_traces,
+    event_mask,
+    qm_primes,
+    random_formula,
+    random_trace,
+    run_monitor,
+    step,
+)
 
 
 def fig2a():
@@ -30,21 +40,21 @@ def test_fig2a_transitions():
     m = fig2a()
     q0 = m.initial
     # switch pressed moves to the waiting state
-    q1 = m.step(q0, m.event_mask({"s": True, "light": True}))
+    q1 = step(m, q0, event_mask(m, {"s": True, "light": True}))
     assert q1 != q0 and m.verdict(q1) is Verdict.UNKNOWN
     # switch held with the light off is the violation
-    q2 = m.step(q1, m.event_mask({"s": True, "light": False}))
+    q2 = step(m, q1, event_mask(m, {"s": True, "light": False}))
     assert m.verdict(q2) is Verdict.FALSE
     # violation state is a sink
     for event in range(m.n_events):
-        assert m.step(q2, event) == q2
+        assert step(m, q2, event) == q2
     # switch released returns to the initial state
-    assert m.step(q1, m.event_mask({"s": False, "light": True})) == q0
+    assert step(m, q1, event_mask(m, {"s": False, "light": True})) == q0
 
 
 def test_fig2a_run():
     m = fig2a()
-    out = m.run([{"s": True, "light": True}, {"s": True, "light": False}])
+    out = run_monitor(m, [{"s": True, "light": True}, {"s": True, "light": False}])
     assert out == [Verdict.UNKNOWN, Verdict.FALSE]
 
 
@@ -56,12 +66,12 @@ def test_constant_monitors():
 
 
 def test_run_empty_sequence():
-    assert fig2a().run([]) == []
+    assert run_monitor(fig2a(), []) == []
 
 
 def test_run_rejects_incomplete_event():
     with pytest.raises(ValueError):
-        fig2a().run([{"s": True}])
+        run_monitor(fig2a(), [{"s": True}])
 
 
 def test_verdict_finality_invariant():
@@ -70,7 +80,7 @@ def test_verdict_finality_invariant():
         for q in range(m.n_states):
             if m.labels[q].final:
                 for event in range(m.n_events):
-                    assert m.labels[m.step(q, event)] is m.labels[q]
+                    assert m.labels[step(m, q, event)] is m.labels[q]
 
 
 def _corpus(rng, count):
@@ -93,7 +103,7 @@ def test_oracle_equivalence_exhaustive_small():
         props = sorted(ltl.propositions(f))
         for length in range(0, 4):
             for trace in all_traces(props, length):
-                got = m.run(trace)[-1] if trace else m.labels[m.initial]
+                got = run_monitor(m, trace)[-1] if trace else m.labels[m.initial]
                 assert got is oracle.evaluate3(f, trace), (text, trace)
 
 
@@ -104,7 +114,7 @@ def test_oracle_equivalence_random_corpus():
         props = sorted(ltl.propositions(f)) or ["a"]
         for _ in range(25):
             trace = random_trace(rng, props, rng.randint(0, 8))
-            got = m.run(trace)[-1] if trace else m.labels[m.initial]
+            got = run_monitor(m, trace)[-1] if trace else m.labels[m.initial]
             assert got is oracle.evaluate3(f, trace), (ltl.render(f), trace)
 
 
@@ -113,7 +123,7 @@ def test_verdict_monotonicity():
     for f in _corpus(rng, 40):
         m = synthesis.build(f)
         props = sorted(ltl.propositions(f)) or ["a"]
-        out = m.run(random_trace(rng, props, 10))
+        out = run_monitor(m, random_trace(rng, props, 10))
         for earlier, later in zip(out, out[1:]):
             if earlier.final:
                 assert later is earlier
@@ -128,7 +138,7 @@ def test_minimize_preserves_language():
         props = sorted(ltl.propositions(f)) or ["a"]
         for _ in range(50):
             trace = random_trace(rng, props, rng.randint(0, 10))
-            assert raw.run(trace) == small.run(trace)
+            assert run_monitor(raw, trace) == run_monitor(small, trace)
 
 
 def test_minimize_has_no_equivalent_state_pair():
@@ -154,8 +164,8 @@ def _distinguishable(m, q1, q2, events) -> bool:
             continue
         seen.add((a, b))
         for ev in events:
-            mask = m.event_mask(ev)
-            frontier.append((m.step(a, mask), m.step(b, mask)))
+            mask = event_mask(m, ev)
+            frontier.append((step(m, a, mask), step(m, b, mask)))
     return False
 
 
@@ -321,7 +331,7 @@ def test_guard_templates_cover_all_events():
 
     for q, edges in enumerate(templates):
         for ev in all_events(list(m.alphabet)):
-            mask = m.event_mask(ev)
+            mask = event_mask(m, ev)
             assignment = {
                 synthesis.expr.Atom(0, name): ev[name] for name in m.alphabet
             }
@@ -330,7 +340,7 @@ def test_guard_templates_cover_all_events():
                 for dst, guard in edges.items()
                 if expr.evaluate(guard, assignment)
             ]
-            assert hits == [m.step(q, mask)]
+            assert hits == [step(m, q, mask)]
 
 
 def _sympy_guard(m, events):
@@ -411,3 +421,39 @@ def test_guard_expr_matches_sympy_on_random_functions():
         if rng.random() < 0.5:
             rng.shuffle(events)
         assert synthesis.guard_expr(m, events) is _sympy_guard(m, events)
+
+
+def test_sop_pairs_matches_qm_on_every_small_order():
+    # every event subset in every order for n <= 2, sampled orders at n = 3
+    rng = random.Random(3)
+    for n in range(1, 4):
+        for table in range(1, 1 << (1 << n)):
+            events = [ev for ev in range(1 << n) if table >> ev & 1]
+            if n < 3:
+                orders = itertools.permutations(events)
+            else:
+                orders = (rng.sample(events, len(events)) for _ in range(6))
+            for order in orders:
+                assert synthesis._sop_pairs(order, n) == qm_primes(order, n), order
+
+
+def test_sop_pairs_matches_qm_on_random_functions():
+    # the functions of test_guard_expr_matches_sympy_on_random_functions
+    rng = random.Random(41)
+    for _ in range(2400):
+        n = rng.randint(1, 8)
+        rng.sample(range(9), n)  # the alphabet draw, kept for the same stream
+        events = _random_events(rng, n)
+        if rng.random() < 0.5:
+            rng.shuffle(events)
+        assert synthesis._sop_pairs(events, n) == qm_primes(events, n), (n, events)
+
+
+def test_sop_pairs_matches_qm_on_inlined_preparing():
+    # 11 propositions: beyond what the sympy differential tests reach
+    m = synthesis.build(registry.bundled("amiqual").inline("preparing"))
+    n = len(m.alphabet)
+    assert n == 11
+    for edges in m.edge_events():
+        for events in edges.values():
+            assert synthesis._sop_pairs(events, n) == qm_primes(events, n)

@@ -215,12 +215,21 @@ def test_manifest_errors(line, tmp_path):
         ("timestamp_ms,value\n0,ON\nlater,OFF\n", 3),
         (",ON\n5,OFF\n", 1),  # an empty first cell is no header
         (" ,ON\n", 1),
+        ("timestamp_ms,value\nts,v\n5,ON\n", 2),  # only the first row is a header
+        ("\ntimestamp_ms,value\n\nts,v\n", 4),
     ],
 )
 def test_non_integer_timestamp_names_file_and_line(tmp_path, text, line):
     path = tmp_path / "door.csv"
     path.write_text(text)
     with pytest.raises(SensorDataError, match=f"door.csv:{line}: non-integer timestamp"):
+        traceio.load_log(path)
+
+
+def test_malformed_row_names_file_and_line(tmp_path):
+    path = tmp_path / "door.csv"
+    path.write_text("timestamp_ms,value\n0,ON\n5\n")
+    with pytest.raises(SensorDataError, match="door.csv:3: malformed row"):
         traceio.load_log(path)
 
 

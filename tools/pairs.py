@@ -20,6 +20,16 @@ won, and a verdict:
   change is better than every run of the parent;
 - ``within bound``: none of these.
 
+Compiling is part of every run's ``peak_rss_mb``: with no bytecode
+cache each operation compiles ``src/decrv``, and ``decrv synth --rooms 4
+--centralized sc_ok`` peaked at 17.60 MB that way, against 17.36 MB from
+compiled bytecode (medians of 8 runs on one CPU of a 2-vCPU VM, Python
+3.11).  What the compiler leaves behind moves with the source, by a few
+tenths of a MB for an edit that allocates nothing more at run time: far
+inside the metric's bound, but enough to win 10 pairs in 10, so a
+``peak_rss_mb`` difference of that size may come from the edit, not
+from what the change allocates.
+
 Each run's result line goes to stderr as it comes.  Standard library only.
 """
 
