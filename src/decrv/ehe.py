@@ -5,11 +5,6 @@ automaton state; the expression over timestamped atoms is true exactly when
 the automaton would be in that state.  Once an expression narrows to the
 constant true, the state (and hence the verdict) at that round is certain.
 
-Expansion conditions gate *when* the encoding is expanded: eagerly every
-round, on an explicit trigger over received-verdict literals, or on any
-message arrival (wildcard).  ``decrv.registry`` parses and defines the
-trigger syntax; ``sadv`` evaluates a trigger against the memory.
-
 One pass per step: ``smove`` narrows the rows if the memory changed,
 then expands and scans each new row in one loop, so each row grows from a
 narrowed predecessor; ``resolve`` is a step that does not expand.  Exact
@@ -21,8 +16,8 @@ verdict.  The trail compares step entries, not rows: rows are hash-consed
 (below), and two walks may reach one row by different steps.
 
 Frames: row t is stored in its own time frame, as ``(q, stamp(e, -t))``
-pairs in q order, so its atoms carry times relative to t; ``expr_at`` and
-``dump`` stamp it back.  Expanding narrowed row t-1 to row t depends only
+pairs in q order, so its atoms carry times relative to t; ``stamp(e, t)``
+stamps an entry back.  Expanding narrowed row t-1 to row t depends only
 on row t-1 in its frame and on what the memory knows of round t-1, so the
 encoding keeps one step table for every row of every instance it runs,
 keyed by ``(prev, known, values)``: round t-1 as the memory stores it,
@@ -67,21 +62,7 @@ from typing import Optional
 from . import expr, synthesis
 from .expr import Atom, BoolExpr, SimplifyStats
 from .memory import Memory
-from .registry import Trigger, TriggerAnd, TriggerLit, TriggerOr
 from .verdicts import Verdict
-
-
-def sadv(cond: Trigger, memory: Memory, t: int) -> bool:
-    """Does the condition hold for the verdicts stored at round t?"""
-    match cond:
-        case TriggerLit(label, want):
-            got = memory.get_at(t, label)
-            return got is not None and got == want
-        case TriggerAnd(a, b):
-            return sadv(a, memory, t) and sadv(b, memory, t)
-        case TriggerOr(a, b):
-            return sadv(a, memory, t) or sadv(b, memory, t)
-    raise TypeError(f"unknown trigger {cond!r}")
 
 
 class _Entry:
@@ -241,18 +222,11 @@ class EHE:
             t_origin: self._row(((initial, expr.BTRUE),))[0]
         }
         self._version = self.memory.version
-        self._found = (t_origin, initial, self.monitor.verdict(initial))
+        self._found = (t_origin, initial, self.monitor.labels[initial])
         # counters are maintained incrementally: entry rows can span thousands
         # of rounds and recounting them every round is quadratic
         self.n_entries = 1
         self.total_size = expr.BTRUE.size
-
-    def expr_at(self, t: int, state: int) -> Optional[BoolExpr]:
-        """The entry at absolute atom times."""
-        for q, e in self.entries.get(t, ()):
-            if q == state:
-                return expr.stamp(e, t)
-        return None
 
     def smove(self, t_future: int, trail: Optional[Trail] = None) -> tuple[int, int, Verdict]:
         """Narrow the rows if the memory changed, expand up to t_future
@@ -330,7 +304,7 @@ class EHE:
                 total_size -= e.size
         self.n_entries, self.total_size = n_entries, total_size
         self.stats.simplifications += work
-        found = (best, best_q, self.monitor.verdict(best_q)) if merge is None else trail.found
+        found = (best, best_q, self.monitor.labels[best_q]) if merge is None else trail.found
         if walk and found[2].final:  # a walk that concludes is the trail's now
             rest = 0 if merge is None else merge[1]
             for t, step in reversed(walk):
@@ -345,10 +319,3 @@ class EHE:
         report the greatest round whose state is certain."""
         return self.smove(self.t_last)
 
-    def dump(self) -> str:
-        """One ``t | state | expr`` row per entry, at absolute atom times."""
-        lines = []
-        for t in sorted(self.entries):
-            for q, e in self.entries[t]:
-                lines.append(f"{t} | q{q} | {expr.stamp(e, t)}")
-        return "\n".join(lines)

@@ -42,9 +42,6 @@ class SimplifyStats:
     def __init__(self) -> None:
         self.simplifications = 0
 
-    def bump(self, n: int = 1) -> None:
-        self.simplifications += n
-
 
 class BoolExpr:
     # _simp memoises one simplify pass over the node: (result, rewrite
@@ -271,7 +268,7 @@ def simplify(e: BoolExpr, stats: Optional[SimplifyStats] = None) -> BoolExpr:
             break
         e = result
     if stats:
-        stats.bump(count)
+        stats.simplifications += count
     return e
 
 

@@ -41,12 +41,6 @@ class Memory:
     def __len__(self) -> int:
         return self._len
 
-    def __contains__(self, atom: Atom) -> bool:
-        return self.get(atom) is not None
-
-    def get(self, atom: Atom) -> Optional[bool]:
-        return self.get_at(atom.time, atom.name)
-
     def get_at(self, t: int, name: str) -> Optional[bool]:
         bit = self.names.get(name)
         if bit is None:
@@ -95,12 +89,3 @@ class Memory:
         if len(rounds) < n:
             self.version += 1
 
-    def dump(self) -> str:
-        """One ``t,name,verdict`` line per entry, sorted by (t, name)."""
-        lines = [
-            f"{t},{name},{'TRUE' if values >> bit & 1 else 'FALSE'}"
-            for t, (known, values) in sorted(self._rounds.items())
-            for name, bit in sorted(self.names.items())
-            if known >> bit & 1
-        ]
-        return "\n".join(lines)

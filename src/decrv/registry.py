@@ -124,11 +124,6 @@ class Registry:
             self._inlined[label] = got
         return got
 
-    def ap_counts(self, label: str) -> tuple[int, int]:
-        """(decentralized, centralized) proposition counts for the label."""
-        decentralized = len(self.refs[label]) + len(self.own[label])
-        return decentralized, len(ltl.propositions(self.inline(label)))
-
     def horizon(self, label: str) -> Optional[int]:
         """X-nesting depth of the inlined formula; None when unbounded."""
         return ltl.bounded_horizon(self.inline(label))
@@ -276,9 +271,18 @@ class _TriggerParser:
         raise SpecError(f"line {self.lineno}: bad trigger token {tok!r}")
 
 
+def _name(text: str, lineno: int) -> str:
+    name = text.strip()
+    if not (name.isascii() and name.isidentifier()) or name in "X G F U true false".split():
+        raise SpecError(f"line {lineno}: {name!r} is not a name")
+    return name
+
+
 def load_registry(text: str) -> Registry:
     components: dict[str, ComponentDecl] = {}
     monitors: dict[str, MonitorDecl] = {}
+    ap_at: dict[str, int] = {}
+    label_at: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -288,10 +292,9 @@ def load_registry(text: str) -> Registry:
             if "{" not in rest or not rest.endswith("}"):
                 raise SpecError(f"line {lineno}: expected 'component <name> {{ ... }}'")
             name, body = rest.split("{", 1)
-            name = name.strip()
-            aps = frozenset(
-                ap.strip() for ap in body[:-1].split(",") if ap.strip()
-            )
+            name = _name(name, lineno)
+            aps = frozenset(_name(ap, lineno) for ap in body[:-1].split(",") if ap.strip())
+            ap_at.update(dict.fromkeys(aps, lineno))
             if name in components:
                 raise SpecError(f"line {lineno}: duplicate component {name!r}")
             components[name] = ComponentDecl(name, aps)
@@ -303,7 +306,7 @@ def load_registry(text: str) -> Registry:
                 )
             label, rest = rest.split("@", 1)
             component, rest = rest.split(":=", 1)
-            label = label.strip()
+            label = _name(label, lineno)
             component = component.strip()
             expansion: Expansion = EAGER
             if " trigger " in rest:
@@ -322,8 +325,11 @@ def load_registry(text: str) -> Registry:
             if label in monitors:
                 raise DuplicateLabelError(f"line {lineno}: duplicate label {label!r}")
             monitors[label] = MonitorDecl(label, component, formula, expansion)
+            label_at[label] = lineno
         else:
             raise SpecError(f"line {lineno}: unrecognized declaration {line!r}")
+    for ap in sorted(ap_at.keys() & label_at.keys()):
+        raise SpecError(f"lines {ap_at[ap]} and {label_at[ap]}: proposition {ap!r} is a label")
     return _validate(components, monitors)
 
 

@@ -18,12 +18,11 @@ import random
 from array import array
 from typing import Callable, Iterable, NamedTuple, Optional, TextIO
 
-from . import ehe as ehe_mod
 from . import synthesis
 from .base import Record, ValidationError
-from .ehe import EHE
+from .ehe import EHE, Trail
 from .memory import Memory
-from .registry import EAGER, WILDCARD, Registry
+from .registry import EAGER, WILDCARD, Registry, Trigger, TriggerAnd, TriggerLit, TriggerOr
 from .verdicts import Verdict
 
 
@@ -44,7 +43,6 @@ class Message(NamedTuple):
     receiver: str
     timestamp: int
     verdict: bool
-    send_round: int
 
 
 class DeliveryPolicy(Record):
@@ -71,13 +69,12 @@ class DeliveryPolicy(Record):
 class VerdictRecord(NamedTuple):
     verdict: Verdict
     delay: int
-    truncated: bool = False
 
 
 class _Records:
-    """The run's shared records, one per verdict, delay and truncation; a
-    log holds indexes into ``table``.  The key is ``(verdict is TRUE,
-    delay)``, with None for a truncated UNKNOWN, so no key hashes a Verdict."""
+    """The run's shared records, one per verdict and delay; a log holds
+    indexes into ``table``.  The key is ``(verdict is TRUE, delay)``, with
+    None for UNKNOWN (logged at the trace end only), so no key hashes a Verdict."""
 
     __slots__ = ("table", "_index")
 
@@ -85,12 +82,12 @@ class _Records:
         self.table: list[VerdictRecord] = []
         self._index: dict[tuple[Optional[bool], int], int] = {}
 
-    def index(self, verdict: Verdict, delay: int, truncated: bool = False) -> int:
-        key = (None if truncated else verdict is Verdict.TRUE, delay)
+    def index(self, verdict: Verdict, delay: int) -> int:
+        key = (None if verdict is Verdict.UNKNOWN else verdict is Verdict.TRUE, delay)
         i = self._index.get(key)
         if i is None:
             i = self._index[key] = len(self.table)
-            self.table.append(VerdictRecord(verdict, delay, truncated))
+            self.table.append(VerdictRecord(verdict, delay))
         return i
 
 
@@ -115,9 +112,7 @@ class VerdictLog:
     def __len__(self) -> int:
         return len(self.indexes)
 
-    def __getitem__(self, t):
-        if isinstance(t, slice):
-            return [self.records[i] for i in self.indexes[t]]
+    def __getitem__(self, t: int) -> VerdictRecord:
         return self.records[self.indexes[t]]
 
     def __iter__(self):
@@ -303,7 +298,7 @@ def run_simulation(
 
         # 4. queue outgoing messages for later rounds
         for msg in sent:
-            due = options.delivery.delivery_round(msg.send_round, rng)
+            due = options.delivery.delivery_round(r, rng)
             pending.setdefault(due, []).append(msg)
 
         total_simp = max_size = max_entries = stored = 0
@@ -320,11 +315,11 @@ def run_simulation(
         max_entries_per_round.append(max_entries)
         memory_per_round.append(stored)
 
-    # trace end: unresolved rounds stay UNKNOWN, flagged truncated
+    # trace end: unresolved rounds stay UNKNOWN
     for label in order:
         log = nodes[label].log
         for t in range(len(log), n):
-            log.append(records.index(Verdict.UNKNOWN, n - 1 - t, truncated=True))
+            log.append(records.index(Verdict.UNKNOWN, n - 1 - t))
 
     return SimulationReport(
         rounds=n,
@@ -357,6 +352,19 @@ def _make_nodes(
     return nodes
 
 
+def sadv(cond: Trigger, memory: Memory, t: int) -> bool:
+    """Does the expansion condition hold for the verdicts stored at round t?"""
+    match cond:
+        case TriggerLit(label, want):
+            got = memory.get_at(t, label)
+            return got is not None and got == want
+        case TriggerAnd(a, b):
+            return sadv(a, memory, t) and sadv(b, memory, t)
+        case TriggerOr(a, b):
+            return sadv(a, memory, t) or sadv(b, memory, t)
+    raise TypeError(f"unknown trigger {cond!r}")
+
+
 def _expansion_target(node: _Node, r: int) -> Optional[int]:
     """Round to expand the encoding to this step, or None to hold."""
     if node.expansion == EAGER:
@@ -371,7 +379,7 @@ def _expansion_target(node: _Node, r: int) -> Optional[int]:
     # the latest match counts, down to t_last itself: concluding round t
     # needs the encoding expanded to t + 1
     for t in range(t_max, node.ehe.t_last - 1, -1):
-        if ehe_mod.sadv(node.expansion, node.ehe.memory, t):
+        if sadv(node.expansion, node.ehe.memory, t):
             return t + 1
     return None
 
@@ -387,20 +395,12 @@ def _step_node(node: _Node, r: int, records: _Records) -> list[Message]:
             break
         node.log.append(records.index(verdict, r - t))
         for dep in node.dependents:
-            out.append(Message(node.label, dep, t, verdict is Verdict.TRUE, r))
+            out.append(Message(node.label, dep, t, verdict is Verdict.TRUE))
         if node.gc_enabled:
             enc.memory.gc(t)
         enc.respawn(t + 1)
         # no round after r is stored: an instance at r + 1 expands nothing
-        trail = trail or ehe_mod.Trail()
+        trail = trail or Trail()
     node.delivered_now.clear()
     return out
 
-
-def steady_state_message_rate(registry: Registry) -> int:
-    """Structural prediction: one message per round per DAG edge whose
-    source monitor reaches final verdicts at a steady per-round pace
-    (finite horizon after inlining)."""
-    return sum(
-        len(deps) for src, deps in registry.dependents.items() if registry.horizon(src) is not None
-    )

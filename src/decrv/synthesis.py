@@ -68,9 +68,6 @@ class MooreMonitor:
     def n_events(self) -> int:
         return 1 << len(self.alphabet)
 
-    def verdict(self, state: int) -> Verdict:
-        return self.labels[state]
-
     def edge_events(self) -> list[dict[int, list[int]]]:
         """Per source state: destination -> sorted list of event masks."""
         out: list[dict[int, list[int]]] = []

@@ -35,9 +35,6 @@ class SensorLog(Record):
                 raise SensorDataError(f"timestamps not strictly increasing at {b}")
         super().__init__(times, values, origin)
 
-    def __len__(self) -> int:
-        return len(self.times)
-
 
 def load_log(path) -> SensorLog:
     with open(path, encoding="utf-8") as handle:
@@ -175,6 +172,7 @@ def parse_manifest(text: str, base_dir: str = ".") -> list[Periphery]:
     ``#`` starts a comment; file paths are relative to ``base_dir``.
     """
     out: list[Periphery] = []
+    lines: dict[str, int] = {}  # proposition -> its manifest line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -183,6 +181,8 @@ def parse_manifest(text: str, base_dir: str = ".") -> list[Periphery]:
         if len(fields) != 4:
             raise SensorDataError(f"manifest line {lineno}: expected 4 fields")
         ap, filename, kind_text, default_text = fields
+        if lines.setdefault(ap, lineno) != lineno:
+            raise SensorDataError(f"manifest lines {lines[ap]} and {lineno}: {ap!r} mapped twice")
         kind = _parse_kind(kind_text, lineno)
         if not default_text.startswith("default="):
             raise SensorDataError(f"manifest line {lineno}: expected default=<bool>")

@@ -28,7 +28,21 @@ def benchmark_gen(fault_gap_mean=None):
 def seval(e, memory, stats=None):
     """Reference recipe for narrowing: substitute every atom the memory
     knows, then simplify."""
-    return expr.simplify(expr.substitute_atoms(e, memory.get), stats)
+    return expr.simplify(expr.substitute_atoms(e, lambda a: memory.get_at(a.time, a.name)), stats)
+
+
+def ap_counts(reg, label: str) -> tuple[int, int]:
+    """(decentralized, centralized) proposition counts of a monitor, as the
+    paper's table gives them: its own propositions plus the labels it
+    names, against the propositions of its inlined formula."""
+    return len(reg.refs[label]) + len(reg.own[label]), len(ltl.propositions(reg.inline(label)))
+
+
+def steady_state_message_rate(reg) -> int:
+    """Structural prediction: one message per round per DAG edge whose
+    source monitor reaches final verdicts at a steady per-round pace
+    (finite horizon after inlining)."""
+    return sum(len(deps) for src, deps in reg.dependents.items() if reg.horizon(src) is not None)
 
 
 def event_mask(m, assignment) -> int:

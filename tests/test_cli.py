@@ -372,6 +372,32 @@ def test_non_finite_threshold_or_reading_exit_code(workspace, capsys, kind, read
     assert message in capsys.readouterr().err
 
 
+def test_proposition_mapped_twice_exit_code(workspace, capsys):
+    (workspace / "sensors.manifest").write_text(
+        "s, s.csv, bool, default=false\nl, l.csv, bool, default=false\n"
+        "s, l.csv, bool, default=false\n"
+    )
+    message = "manifest lines 1 and 3: 's' mapped twice"
+    assert main(["rates", str(workspace / "sensors.manifest")]) == 1
+    assert message in capsys.readouterr().err
+    code, out = _replay(workspace, "twice")
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [("x,y", "line 6: 'x,y' is not a name"), ("s", "lines 2 and 6: proposition 's' is a label")],
+)
+def test_replay_rejects_a_bad_label_as_validation_error(workspace, capsys, label, message):
+    (workspace / "pair.dspec").write_text(SPEC + f"monitor {label} @ sw := s\n")
+    code, out = _replay(workspace, "badname")
+    assert code == 2
+    assert capsys.readouterr().err == f"decrv: validation: {message}\n"
+    assert not out.exists()
+
+
 def test_rates(workspace, capsys):
     (workspace / "s.csv").write_text("0,ON\n1000,OFF\n4000,ON\n")
     assert main(["rates", str(workspace / "sensors.manifest")]) == 0
@@ -468,6 +494,12 @@ def test_cli_import_generates_no_record_code():
     loaded = _loaded_modules("import decrv.cli")
     assert "decrv.cli" in loaded
     assert {"dataclasses", "inspect"} & set(loaded) == set()
+
+
+def test_ehe_import_loads_no_registry():
+    loaded = _loaded_modules("import decrv.ehe")
+    assert "decrv.ehe" in loaded
+    assert "decrv.registry" not in loaded
 
 
 def test_synth_loads_no_replay_module(tmp_path):

@@ -4,10 +4,11 @@ import itertools
 import random
 
 from decrv import ehe, expr, ltl, synthesis
-from decrv.ehe import EHE, sadv
+from decrv.ehe import EHE
 from decrv.expr import Atom
 from decrv.memory import Memory
 from decrv.registry import TriggerAnd, TriggerLit, TriggerOr
+from decrv.simulator import sadv
 from decrv.verdicts import Verdict
 
 from conftest import (
@@ -25,9 +26,18 @@ def fig2a():
     return synthesis.build(ltl.parse("G(s -> X(light U !s))"))
 
 
+def _row(enc, t):
+    """Row t at absolute atom times, as ``{state: expression}``."""
+    return {q: expr.stamp(e, t) for q, e in enc.entries.get(t, ())}
+
+
+def _rows(enc):
+    return {t: _row(enc, t) for t in enc.entries}
+
+
 def test_initial_entry():
     e = EHE(fig2a(), 0, Memory())
-    assert e.expr_at(0, e.monitor.initial) is expr.BTRUE
+    assert _row(e, 0) == {e.monitor.initial: expr.BTRUE}
     assert e.t_last == 0
 
 
@@ -35,18 +45,17 @@ def test_smove_one_step_matches_hand_expansion():
     e = EHE(fig2a(), 0, Memory())
     e.smove(1)
     s = expr.batom(Atom(0, "s"))
-    assert e.expr_at(1, 0) is expr.bnot(s)
-    assert e.expr_at(1, 1) is s
+    assert _row(e, 0) == {0: expr.BTRUE}
     # the violation state is unreachable in one step and therefore omitted
-    assert e.expr_at(1, 2) is None
+    assert _row(e, 1) == {0: expr.bnot(s), 1: s}
 
 
 def test_smove_same_round_is_noop():
     e = EHE(fig2a(), 0, Memory())
     e.smove(2)
-    before = e.dump()
+    before = _rows(e)
     e.smove(2)
-    assert e.dump() == before
+    assert _rows(e) == before
 
 
 def _check_exhaustive_and_exclusive(e):
@@ -59,7 +68,7 @@ def _check_exhaustive_and_exclusive(e):
             hits = [
                 q for q, ex in row if expr.evaluate(ex, assignment)
             ]
-            assert len(hits) == 1, (t, assignment, e.dump())
+            assert len(hits) == 1, (t, assignment, _rows(e))
 
 
 def test_entries_exhaustive_and_mutually_exclusive():
@@ -145,8 +154,7 @@ def test_resolve_narrows_entries():
     e.smove(1)
     m.store(Atom(0, "s"), True)
     e.resolve()
-    assert e.expr_at(1, 1) is expr.BTRUE
-    assert e.expr_at(1, 0) is None  # simplified to false and dropped
+    assert _row(e, 1) == {1: expr.BTRUE}  # q0's entry simplified to false and dropped
 
 
 def test_resolve_matches_run_under_full_memory():
@@ -217,14 +225,6 @@ def test_sadv_conjunction():
     assert not sadv(TriggerAnd(TriggerLit("M0", True), TriggerLit("M1", True)), m, 2)
 
 
-def test_dump_rows():
-    e = EHE(fig2a(), 0, Memory())
-    e.smove(1)
-    rows = e.dump().splitlines()
-    assert rows[0] == "0 | q0 | true"
-    assert all(" | " in row for row in rows)
-
-
 def _symbolic_row(monitor, prev, t, memory):
     """Reference: the symbolic expansion of row ``prev`` to round t."""
     stats = expr.SimplifyStats()
@@ -256,7 +256,7 @@ def _step_matches_symbolic(enc, prev, t):
     narrowed = {p: e for p, e in narrowed.items() if e is not expr.BFALSE}
     row, work = _symbolic_row(monitor, narrowed, t, memory)
     assert [q for q, _ in enc.entries[t]] == sorted(row)
-    assert {q: enc.expr_at(t, q) for q, _ in enc.entries[t]} == row
+    assert _row(enc, t) == row
     assert stats.simplifications - work0 == ref_stats.simplifications + work
     # the narrowing pass replaced prev's entries by their narrowed forms,
     # and a certain row t drops them
@@ -500,7 +500,7 @@ class _AbsoluteEHE:
         self.resolve()
         for t in range(self.t_last + 1, t_future + 1):
             self.rows[t], work = _symbolic_row(self.monitor, self.rows[t - 1], t, self.memory)
-            self.stats.bump(work)
+            self.stats.simplifications += work
         self.t_last = t_future
         return self.resolve()
 
@@ -515,7 +515,7 @@ class _AbsoluteEHE:
                     continue
                 row[q] = e
                 if e is expr.BTRUE and (best is None or t >= best[0]):
-                    best = (t, q, self.monitor.verdict(q))
+                    best = (t, q, self.monitor.labels[q])
         self.found = best
         if best is not None:
             self.rows = {t: row for t, row in self.rows.items() if t >= best[0]}
@@ -542,10 +542,7 @@ def test_frame_relative_rows_match_absolute_recipe():
                 assert enc.smove(*args) == ref.smove(*args)
             else:
                 assert enc.resolve() == ref.resolve()
-            got = {
-                t: {q: enc.expr_at(t, q) for q, _ in row} for t, row in enc.entries.items()
-            }
-            assert got == ref.rows
+            assert _rows(enc) == ref.rows
             assert stats.simplifications == ref.stats.simplifications
             assert enc.n_entries == sum(len(row) for row in ref.rows.values())
             assert enc.total_size == sum(
@@ -578,7 +575,8 @@ def test_smove_appends_step_rows_narrowed_against_memory():
                     assert enc.entries[t] is enc._steps[key].row
                 for t, row in enc.entries.items():
                     for _, e in row:
-                        assert not any(a in memory for a in expr.atoms(expr.stamp(e, t)))
+                        atoms = expr.atoms(expr.stamp(e, t))
+                        assert all(memory.get_at(a.time, a.name) is None for a in atoms)
 
 
 def _assert_narrow_entries_exact(enc):

@@ -7,12 +7,22 @@ from decrv.expr import Atom
 from decrv.memory import ConflictingObservationError, Memory
 
 
+def _contents(m, times=range(8)):
+    """Every atom stored for ``times``, read through ``get_at``."""
+    return {
+        Atom(t, name): value
+        for t in times
+        for name in m.names
+        if (value := m.get_at(t, name)) is not None
+    }
+
+
 def test_store_and_get():
     m = Memory()
     m.store(Atom(23, "s1"), True)
-    assert m.get(Atom(23, "s1")) is True
-    assert m.get(Atom(23, "l1")) is None
-    assert Atom(23, "s1") in m
+    assert m.get_at(23, "s1") is True
+    assert m.get_at(23, "l1") is None
+    assert m.get_at(22, "s1") is None
     assert len(m) == 1
 
 
@@ -37,8 +47,8 @@ def test_timestamp_index():
     m.store(Atom(3, "a"), True)
     m.store(Atom(3, "b"), False)
     m.store(Atom(5, "b"), False)
-    assert m.dump() == "3,a,TRUE\n3,b,FALSE\n5,b,FALSE"
-    assert Atom(4, "a") not in m and Atom(4, "b") not in m
+    assert _contents(m) == {Atom(3, "a"): True, Atom(3, "b"): False, Atom(5, "b"): False}
+    assert m.get_at(4, "a") is None and m.get_at(4, "b") is None
     assert m.max_time() == 5
     assert Memory().max_time() is None
 
@@ -48,9 +58,9 @@ def test_gc_removes_at_or_before():
     m.store(Atom(3, "a"), True)
     m.store(Atom(5, "b"), False)
     m.gc(4)
-    assert m.get(Atom(3, "a")) is None
-    assert m.get(Atom(5, "b")) is False
-    assert m.dump() == "5,b,FALSE"
+    assert m.get_at(3, "a") is None
+    assert m.get_at(5, "b") is False
+    assert _contents(m) == {Atom(5, "b"): False}
 
 
 def test_gc_boundary_inclusive():
@@ -74,9 +84,9 @@ def test_gc_idempotent():
     m.store(Atom(3, "a"), True)
     m.store(Atom(5, "b"), False)
     m.gc(3)
-    snapshot = m.dump()
+    snapshot = _contents(m)
     m.gc(3)
-    assert m.dump() == snapshot
+    assert _contents(m) == snapshot
 
 
 def test_version_tracks_mutations():
@@ -87,13 +97,6 @@ def test_version_tracks_mutations():
     v1 = m.version
     m.gc(1)
     assert m.version > v1
-
-
-def test_dump_format():
-    m = Memory()
-    m.store(Atom(5, "b"), False)
-    m.store(Atom(3, "a"), True)
-    assert m.dump() == "3,a,TRUE\n5,b,FALSE"
 
 
 def test_masks_over_names():
@@ -162,9 +165,7 @@ def test_matches_dict_reference(ops):
         assert (m.version != version) == changed
         for t in range(7):
             for name in "abcd":
-                atom = Atom(t, name)
-                assert m.get(atom) is ref.get(atom)
-                assert (atom in m) == (atom in ref)
+                assert m.get_at(t, name) is ref.get(Atom(t, name))
             known, values = m.masks(t)
             decoded = {
                 Atom(t, name): bool(values >> bit & 1)
@@ -174,9 +175,7 @@ def test_matches_dict_reference(ops):
             assert decoded == {a: v for a, v in ref.items() if a.time == t}
         assert len(m) == len(ref)
         assert m.max_time() == max((a.time for a in ref), default=None)
-        assert m.dump() == "\n".join(
-            f"{a.time},{a.name},{'TRUE' if v else 'FALSE'}" for a, v in sorted(ref.items())
-        )
+        assert _contents(m) == ref
 
 
 _BOOKKEEPING_OPS = st.lists(
@@ -229,5 +228,4 @@ def test_low_and_high_marks_match_dict_reference(ops):
             }
             assert decoded == {a: v for a, v in ref.items() if a.time == t}
             for name in "abc":
-                assert m.get(Atom(t, name)) is ref.get(Atom(t, name))
                 assert m.get_at(t, name) is ref.get(Atom(t, name))

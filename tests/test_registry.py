@@ -22,7 +22,7 @@ from decrv.registry import (
     load_registry,
 )
 
-from conftest import _random_registry
+from conftest import _random_registry, ap_counts
 
 PAIR = """
 # a switch and a lamp
@@ -84,8 +84,8 @@ def test_inline():
 
 def test_ap_counts():
     reg = load_registry(PAIR)
-    assert reg.ap_counts("sc_light") == (2, 2)
-    assert reg.ap_counts("light") == (1, 1)
+    assert ap_counts(reg, "sc_light") == (2, 2)
+    assert ap_counts(reg, "light") == (1, 1)
 
 
 def test_ref_only():
@@ -168,6 +168,31 @@ def test_trigger_syntax_errors_name_the_line(clause, message):
         load_registry(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("component c { a }\nmonitor x,y @ c := a", "line 2: 'x,y' is not a name"),
+        ("component c { a }\nmonitor  @ c := a", "line 2: '' is not a name"),
+        ("component c { a b }", "line 1: 'a b' is not a name"),
+        ("component c { a, true }", "line 1: 'true' is not a name"),
+        ("component X { a }", "line 1: 'X' is not a name"),
+        ("component c { \u00e9 }", "line 1: '\u00e9' is not a name"),
+        ("component c { a, m }\nmonitor m @ c := a", "lines 1 and 2: proposition 'm' is a label"),
+        ("monitor m @ c := a\n\ncomponent c { a, m }", "lines 3 and 1: proposition 'm' is a label"),
+    ],
+)
+def test_names_are_identifiers_and_no_label_is_a_proposition(text, message):
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+        load_registry(text)
+
+
+@pytest.mark.parametrize(
+    "name", ["adl", "adl_h", "adl_h2", "amiqual", "demo_pair", "lazy_demo"]
+)
+def test_every_bundled_spec_loads(name):
+    assert bundled(name).monitors
+
+
 def test_duplicate_label_rejected():
     with pytest.raises(DuplicateLabelError):
         load_registry("component c { a }\nmonitor m @ c := a\nmonitor m @ c := !a")
@@ -224,7 +249,7 @@ def test_light_switch_family():
     }
     assert reg.depths["sc_ok"] == 2
     assert reg.refs["sc_ok"] and not reg.own["sc_ok"]
-    assert reg.ap_counts("sc_ok") == (3, 6)
+    assert ap_counts(reg, "sc_ok") == (3, 6)
     with pytest.raises(SpecError):
         light_switch_family(0)
 
@@ -266,7 +291,7 @@ def test_bundled_table():
     }
     reg = bundled("amiqual")
     for label, (dec, cent, depth) in expected.items():
-        assert reg.ap_counts(label) == (dec, cent), label
+        assert ap_counts(reg, label) == (dec, cent), label
         assert reg.depths[label] == depth, label
 
 

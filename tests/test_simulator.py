@@ -13,16 +13,10 @@ from decrv import expr, ltl, oracle, registry, simulator, synthesis
 from decrv.expr import Atom
 from decrv.memory import Memory
 from decrv.registry import TriggerLit, TriggerOr, load_registry
-from decrv.simulator import (
-    DeliveryPolicy,
-    SimulationError,
-    SimulationOptions,
-    run_simulation,
-    steady_state_message_rate,
-)
+from decrv.simulator import DeliveryPolicy, SimulationError, SimulationOptions, run_simulation
 from decrv.verdicts import Verdict
 
-from conftest import benchmark_gen, random_trace
+from conftest import benchmark_gen, random_trace, steady_state_message_rate
 
 PAIR = load_registry(
     """
@@ -91,7 +85,7 @@ def test_one_encoding_per_node_per_run(monkeypatch):
 
     monkeypatch.setattr(simulator, "EHE", CountedEHE)
     report = run_simulation(PAIR, _violating_trace(6))
-    assert not report.verdicts["light"][5].truncated  # light concluded every round
+    assert report.verdicts["light"][5].verdict.final  # light concluded every round
     assert len(built) == len(PAIR.monitors)
 
 
@@ -106,11 +100,29 @@ def test_truncated_unknowns_at_trace_end():
     trace = [{"s": False, "l": False}] * 4
     report = run_simulation(PAIR, trace)
     sc = report.verdicts["sc_light"]
-    # G never concludes on a compliant trace: everything is truncated UNKNOWN
+    # G never concludes on a compliant trace: everything is UNKNOWN at the end
     for t in range(4):
         assert sc[t].verdict is Verdict.UNKNOWN
-        assert sc[t].truncated
         assert sc[t].delay == 3 - t
+
+
+@pytest.mark.parametrize(
+    "kind, seed, rounds, delivery",
+    [("sticky", 0, 250, DeliveryPolicy()), ("busy", 1, 220, DeliveryPolicy("reorder", 3))],
+)
+def test_unknowns_are_a_suffix_counting_down_to_zero(kind, seed, rounds, delivery):
+    """A node logs only the final verdicts it concludes, so the UNKNOWNs
+    of a log are the trace end's: its last rounds, delays down to 0."""
+    trace = getattr(benchmark_gen(), f"{kind}_trace")(seed, rounds)
+    options = SimulationOptions(delivery=delivery, seed=seed)
+    report = run_simulation(registry.bundled("amiqual"), trace, options)
+    n_unknown = 0
+    for label, log in report.verdicts.items():
+        unknown = [t for t, rec in enumerate(log) if rec.verdict is Verdict.UNKNOWN]
+        assert unknown == list(range(rounds - len(unknown), rounds)), label
+        assert [log[t].delay for t in unknown] == list(range(len(unknown) - 1, -1, -1)), label
+        n_unknown += len(unknown)
+    assert 0 < n_unknown < rounds * len(report.verdicts)
 
 
 def test_missing_trace_source_rejected():
@@ -336,7 +348,7 @@ monitor m1 @ c0 := a & X m0
         horizon = reg.horizon("m1")
         depth = reg.depths["m1"]
         for t, rec in enumerate(report.verdicts["m1"]):
-            if not rec.truncated:
+            if rec.verdict.final:
                 assert rec.delay <= horizon + depth + 1, (t, rec)
 
 
@@ -636,7 +648,7 @@ def test_catch_up_after_a_lamp_fault_is_linear(monkeypatch):
     monkeypatch.setattr(simulator.EHE, "smove", counted)
     report = run_simulation(LIGHT_0, _lamp_fault_trace(n))
     log = report.verdicts["sc_light_0"]
-    assert [(rec.verdict, rec.delay) for rec in log[: n - 2]] == [
+    assert [(rec.verdict, rec.delay) for rec in list(log)[: n - 2]] == [
         (Verdict.FALSE, n - 1 - t) for t in range(n - 2)
     ]
     assert rows <= 10 * n
@@ -732,7 +744,7 @@ def test_verdict_log_widens_at_65536_records():
     assert [rec.delay for rec in log] == [0, 65_535, 7, 65_536, 3]
     assert log[3] is records[65_536]
     assert log[-1] is records[3]
-    assert log[1:3] == [records[65_535], records[7]]
+    assert log[1] is records[65_535] and log[2] is records[7]
 
 
 class _ListLog(list):

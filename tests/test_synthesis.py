@@ -41,10 +41,10 @@ def test_fig2a_transitions():
     q0 = m.initial
     # switch pressed moves to the waiting state
     q1 = step(m, q0, event_mask(m, {"s": True, "light": True}))
-    assert q1 != q0 and m.verdict(q1) is Verdict.UNKNOWN
+    assert q1 != q0 and m.labels[q1] is Verdict.UNKNOWN
     # switch held with the light off is the violation
     q2 = step(m, q1, event_mask(m, {"s": True, "light": False}))
-    assert m.verdict(q2) is Verdict.FALSE
+    assert m.labels[q2] is Verdict.FALSE
     # violation state is a sink
     for event in range(m.n_events):
         assert step(m, q2, event) == q2

@@ -189,6 +189,14 @@ def test_manifest_custom_bool_tokens(tmp_path):
     assert _poll(peripheries[0], 0) is True and _poll(peripheries[0], 5) is False
 
 
+def test_manifest_rejects_a_proposition_mapped_twice(tmp_path):
+    (tmp_path / "a.csv").write_text("0,ON\n")
+    (tmp_path / "b.csv").write_text("0,OFF\n")
+    text = "door, a.csv, bool, default=false\n# again\ndoor, b.csv, bool, default=false\n"
+    with pytest.raises(SensorDataError, match="^manifest lines 1 and 3: 'door' mapped twice$"):
+        parse_manifest(text, base_dir=str(tmp_path))
+
+
 @pytest.mark.parametrize(
     "line",
     [
