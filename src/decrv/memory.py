@@ -1,8 +1,11 @@
 """Timestamp-indexed observation store with garbage collection.
 
 Each round is stored as the pair of bitmasks the EHE step table is keyed
-by: ``(known, values)`` over the memory's own names, where a name takes
-the next bit the first time it is stored and keeps it for good.
+by: ``rounds[t]`` is ``(known, values)`` over the memory's own names, where
+a name takes the next bit the first time it is stored and keeps it for
+good.  Bit ``names[n]`` of ``known`` is set when n is stored for round t,
+and of ``values`` when it is stored true; a round with nothing stored has
+no key.  The EHE reads both maps in place.
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ class Memory:
     from a low-water mark up; ``max_time`` reads a high mark.
     """
 
-    __slots__ = ("names", "_rounds", "_len", "_low", "_high", "version")
+    __slots__ = ("names", "rounds", "_len", "_low", "_high", "version")
 
     def __init__(self) -> None:
         self.names: dict[str, int] = {}  # name -> bit, in bit order
-        self._rounds: dict[int, tuple[int, int]] = {}
+        self.rounds: dict[int, tuple[int, int]] = {}
         self._len = 0
         self._low = self._high = 0  # with rounds stored: low <= min, high == max
         self.version = 0
@@ -45,7 +48,7 @@ class Memory:
         bit = self.names.get(name)
         if bit is None:
             return None
-        known, values = self._rounds.get(t, (0, 0))
+        known, values = self.rounds.get(t, (0, 0))
         return bool(values >> bit & 1) if known >> bit & 1 else None
 
     def store(self, atom: Atom, value: bool) -> None:
@@ -53,7 +56,7 @@ class Memory:
 
     def store_at(self, t: int, name: str, value: bool) -> None:
         mask = 1 << self.names.setdefault(name, len(self.names))
-        rounds = self._rounds
+        rounds = self.rounds
         known, values = rounds.get(t, (0, 0))
         if known & mask:
             old = bool(values & mask)
@@ -70,17 +73,12 @@ class Memory:
         self._len += 1
         self.version += 1
 
-    def masks(self, t: int) -> tuple[int, int]:
-        """(known, values): bit ``names[n]`` of ``known`` is set when n is
-        stored for round t, and of ``values`` when it is stored true."""
-        return self._rounds.get(t, (0, 0))
-
     def max_time(self) -> Optional[int]:
-        return self._high if self._rounds else None
+        return self._high if self.rounds else None
 
     def gc(self, t: int) -> None:
         """Drop every atom with timestamp <= t, from the low-water mark up."""
-        rounds, n = self._rounds, len(self._rounds)
+        rounds, n = self.rounds, len(self.rounds)
         for ts in range(self._low, min(t, self._high) + 1):
             known = rounds.pop(ts, None)
             if known is not None:

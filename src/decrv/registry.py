@@ -309,15 +309,13 @@ def load_registry(text: str) -> Registry:
             label = _name(label, lineno)
             component = component.strip()
             expansion: Expansion = EAGER
-            if " trigger " in rest:
-                rest, trig = rest.rsplit(" trigger ", 1)
-                trig = trig.strip()
-                if trig == "wildcard":
-                    expansion = WILDCARD
-                elif trig.startswith("{") and trig.endswith("}"):
-                    expansion = _parse_trigger(trig[1:-1], lineno)
-                else:
-                    raise SpecError(f"line {lineno}: bad trigger clause {trig!r}")
+            # only a trailing clause is one: a proposition may be named trigger
+            head, sep, clause = rest.rpartition(" trigger ")
+            clause = clause.strip()
+            if sep and clause == "wildcard":
+                rest, expansion = head, WILDCARD
+            elif sep and clause[:1] == "{" and clause[-1:] == "}":
+                rest, expansion = head, _parse_trigger(clause[1:-1], lineno)
             try:
                 formula = ltl.parse(rest.strip())
             except ltl.ParseError as exc:

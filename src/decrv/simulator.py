@@ -6,9 +6,11 @@ instance.  When a node concludes a final verdict for the round it is
 checking, it appends the verdict to its log, notifies dependent monitors,
 garbage-collects its memory, and respawns its encoding at the next round;
 later instances of the round catch up with the walk concluded before
-them (``ehe.Trail``).  A node checks rounds 0, 1, 2... in order, so its
-log is indexed by round; it holds indexes into the run's shared records.
-The trace is read one round at a time, so it may be a generator.
+them (``ehe.Trail``).  Once round r itself is concluded the node stops:
+the instance at r + 1 has no round to expand over until the next one.
+A node checks rounds 0, 1, 2... in order, so its log is indexed by
+round; it holds indexes into the run's shared records.  The trace is
+read one round at a time, so it may be a generator.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ from __future__ import annotations
 import io
 import random
 from array import array
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional, TextIO
 
 from . import synthesis
 from .base import Record, ValidationError
 from .ehe import EHE, Trail
+from .expr import SimplifyStats
 from .memory import Memory
 from .registry import EAGER, WILDCARD, Registry, Trigger, TriggerAnd, TriggerLit, TriggerOr
 from .verdicts import Verdict
@@ -36,13 +40,6 @@ class SimulationError(ValidationError):
 # deletes it
 class ThreadPoolExecutor:
     pass
-
-
-class Message(NamedTuple):
-    sender: str
-    receiver: str
-    timestamp: int
-    verdict: bool
 
 
 class DeliveryPolicy(Record):
@@ -74,7 +71,8 @@ class VerdictRecord(NamedTuple):
 class _Records:
     """The run's shared records, one per verdict and delay; a log holds
     indexes into ``table``.  The key is ``(verdict is TRUE, delay)``, with
-    None for UNKNOWN (logged at the trace end only), so no key hashes a Verdict."""
+    None for UNKNOWN (logged at the trace end only), so no key hashes a
+    Verdict; ``_step_node`` probes ``_index`` with it in place."""
 
     __slots__ = ("table", "_index")
 
@@ -130,11 +128,11 @@ class SimulationReport(NamedTuple):
 
     rounds: int
     verdicts: dict[str, VerdictLog]
-    messages_per_round: list[int]
-    simplifications_per_round: list[int]
-    max_ehe_size_per_round: list[int]
-    max_ehe_entries_per_round: list[int]
-    memory_per_round: list[int]
+    messages_per_round: array
+    simplifications_per_round: array
+    max_ehe_size_per_round: array
+    max_ehe_entries_per_round: array
+    memory_per_round: array
 
     @property
     def total_messages(self) -> int:
@@ -146,12 +144,14 @@ class SimulationReport(NamedTuple):
         return max(self.memory_per_round, default=0)
 
     def write_verdicts_csv(self, out: TextIO) -> None:
-        # one label's lines alive at a time: this file is the largest
-        # allocation of a short replay
+        # a few thousand lines alive at a time: one label's lines joined at
+        # once were the largest allocation of a day's replay
         out.write("round,label,verdict,delay\n")
         for label in sorted(self.verdicts):
             log = enumerate(self.verdicts[label])
-            out.write("".join([f"{t},{label},{rec.verdict},{rec.delay}\n" for t, rec in log]))
+            lines = (f"{t},{label},{rec.verdict},{rec.delay}\n" for t, rec in log)
+            while chunk := "".join(islice(lines, 4096)):
+                out.write(chunk)
 
     def write_metrics_csv(self, out: TextIO) -> None:
         out.write("round,msgs,simplifications,max_ehe_nodes\n")
@@ -210,9 +210,9 @@ def _text(write: Callable[[TextIO], None]) -> str:
 
 
 class _Node:
-    """One monitor for one run: its encoding holds its memory and
-    rewrite count, and ``log[t]`` is its verdict about round t, so it
-    checks round ``len(log)``."""
+    """One monitor for one run: its encoding holds its memory and adds
+    to the run's rewrite count, and ``log[t]`` is its verdict about round
+    t, so it checks round ``len(log)``, its encoding's ``t_origin``."""
 
     __slots__ = (
         "label",
@@ -259,26 +259,27 @@ def run_simulation(
     options: SimulationOptions = SimulationOptions(),
 ) -> SimulationReport:
     """Replay ``trace``, one event per round, read as the replay reaches it."""
-    records = _Records()
-    nodes = _make_nodes(registry, options, records.table)
-    rng = random.Random(options.seed)
-    pending: dict[int, list[Message]] = {}
+    records, stats = _Records(), SimplifyStats()  # one rewrite count for the run
+    nodes = _make_nodes(registry, options, records.table, stats)
+    delivery, rng = options.delivery, random.Random(options.seed)
+    # (sender, receiver, round, verdict is TRUE) by delivery round
+    pending: dict[int, list[tuple[str, str, int, bool]]] = {}
     order = sorted(nodes)
-    messages_per_round = []
-    simplifications_per_round = []
-    max_size_per_round = []
-    max_entries_per_round = []
-    memory_per_round = []
+    messages_per_round = array("q")
+    simplifications_per_round = array("q")
+    max_size_per_round = array("q")
+    max_entries_per_round = array("q")
+    memory_per_round = array("q")
     prev_simplifications = 0
 
     n = 0
     for r, event in enumerate(trace):
         n = r + 1
         # 1. deliver verdict messages that are due
-        for msg in pending.pop(r, ()):
-            node = nodes[msg.receiver]
-            node.ehe.memory.store_at(msg.timestamp, msg.sender, msg.verdict)
-            node.delivered_now.append(msg.timestamp)
+        for sender, receiver, t, value in pending.pop(r, ()):
+            node = nodes[receiver]
+            node.ehe.memory.store_at(t, sender, value)
+            node.delivered_now.append(t)
 
         # 2. poll the trace into per-node memories
         try:
@@ -296,21 +297,23 @@ def run_simulation(
         for label in order:
             sent.extend(_step_node(nodes[label], r, records))
 
-        # 4. queue outgoing messages for later rounds
-        for msg in sent:
-            due = options.delivery.delivery_round(r, rng)
-            pending.setdefault(due, []).append(msg)
+        # 4. queue outgoing messages for later rounds; only a reordering
+        # policy draws, once per message
+        if delivery.mode == "reorder":
+            for msg in sent:
+                pending.setdefault(delivery.delivery_round(r, rng), []).append(msg)
+        elif sent:
+            pending.setdefault(delivery.delivery_round(r, rng), []).extend(sent)
 
-        total_simp = max_size = max_entries = stored = 0
+        max_size = max_entries = stored = 0
         for node in nodes.values():
             enc = node.ehe
-            total_simp += enc.stats.simplifications
             max_size = max(max_size, enc.total_size)
             max_entries = max(max_entries, enc.n_entries)
             stored += len(enc.memory)
         messages_per_round.append(len(sent))
-        simplifications_per_round.append(total_simp - prev_simplifications)
-        prev_simplifications = total_simp
+        simplifications_per_round.append(stats.simplifications - prev_simplifications)
+        prev_simplifications = stats.simplifications
         max_size_per_round.append(max_size)
         max_entries_per_round.append(max_entries)
         memory_per_round.append(stored)
@@ -333,7 +336,10 @@ def run_simulation(
 
 
 def _make_nodes(
-    registry: Registry, options: SimulationOptions, records: list[VerdictRecord]
+    registry: Registry,
+    options: SimulationOptions,
+    records: list[VerdictRecord],
+    stats: SimplifyStats,
 ) -> dict[str, _Node]:
     nodes = {}
     for label, decl in registry.monitors.items():
@@ -342,7 +348,7 @@ def _make_nodes(
             expansion = EAGER
         nodes[label] = _Node(
             label=label,
-            ehe=EHE(synthesis.build(decl.formula, options.max_states), 0, Memory()),
+            ehe=EHE(synthesis.build(decl.formula, options.max_states), 0, Memory(), stats),
             own=registry.own[label],
             dependents=registry.dependents[label],
             expansion=expansion,
@@ -384,22 +390,29 @@ def _expansion_target(node: _Node, r: int) -> Optional[int]:
     return None
 
 
-def _step_node(node: _Node, r: int, records: _Records) -> list[Message]:
-    out: list[Message] = []
+def _step_node(node: _Node, r: int, records: _Records) -> list[tuple[str, str, int, bool]]:
+    """Step the node's instances in round r, each checking round
+    ``enc.t_origin`` (``len(node.log)``), until one concludes nothing or
+    round r itself is concluded; return the messages to send."""
+    out = []
     enc, trail = node.ehe, None  # a trail for instances respawned this round
+    index = records._index
     while True:
         target = _expansion_target(node, r)
         _, _, verdict = enc.smove(enc.t_last if target is None else target, trail)
-        t = len(node.log)
-        if not verdict.final or t > r:
+        if verdict is Verdict.UNKNOWN:
             break
-        node.log.append(records.index(verdict, r - t))
-        for dep in node.dependents:
-            out.append(Message(node.label, dep, t, verdict is Verdict.TRUE))
+        t, value = enc.t_origin, verdict is Verdict.TRUE
+        i = index.get((value, r - t))
+        node.log.append(records.index(verdict, r - t) if i is None else i)
+        out += [(node.label, dep, t, value) for dep in node.dependents]
         if node.gc_enabled:
             enc.memory.gc(t)
         enc.respawn(t + 1)
-        # no round after r is stored: an instance at r + 1 expands nothing
+        if t == r:
+            # no round after r is stored: the instance at r + 1 would
+            # expand nothing and conclude nothing this round
+            break
         trail = trail or Trail()
     node.delivered_now.clear()
     return out

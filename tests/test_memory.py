@@ -99,34 +99,39 @@ def test_version_tracks_mutations():
     assert m.version > v1
 
 
+def _masks(m, t):
+    """Round t as the memory stores it: (known, values) over its names."""
+    return m.rounds.get(t, (0, 0))
+
+
 def test_masks_over_names():
     m = Memory()
     m.store(Atom(3, "c"), False)  # bits go to names in order of first store
     m.store(Atom(3, "a"), True)
     m.store(Atom(4, "b"), True)
     assert m.names == {"c": 0, "a": 1, "b": 2}
-    assert m.masks(3) == (0b011, 0b010)
-    assert m.masks(4) == (0b100, 0b100)
-    assert m.masks(5) == (0, 0)
+    assert _masks(m, 3) == (0b011, 0b010)
+    assert _masks(m, 4) == (0b100, 0b100)
+    assert _masks(m, 5) == (0, 0)
 
 
 def test_masks_follow_store_and_gc():
     m = Memory()
-    assert m.masks(3) == (0, 0)
+    assert _masks(m, 3) == (0, 0)
     m.store(Atom(3, "b"), True)
-    assert m.masks(3) == (0b01, 0b01)
+    assert _masks(m, 3) == (0b01, 0b01)
     m.store(Atom(4, "a"), True)  # another round leaves round 3 as it was
-    assert m.masks(3) == (0b01, 0b01)
-    assert m.masks(4) == (0b10, 0b10)
+    assert _masks(m, 3) == (0b01, 0b01)
+    assert _masks(m, 4) == (0b10, 0b10)
     m.store(Atom(3, "a"), False)  # a late store into round 3
-    assert m.masks(3) == (0b11, 0b01)
+    assert _masks(m, 3) == (0b11, 0b01)
     m.store(Atom(3, "a"), False)  # a repeated store changes nothing
-    assert m.masks(3) == (0b11, 0b01)
+    assert _masks(m, 3) == (0b11, 0b01)
     m.gc(3)
-    assert m.masks(3) == (0, 0)
-    assert m.masks(4) == (0b10, 0b10)
+    assert 3 not in m.rounds
+    assert _masks(m, 4) == (0b10, 0b10)
     m.store(Atom(3, "b"), False)  # a round stored again after gc
-    assert m.masks(3) == (0b01, 0)
+    assert _masks(m, 3) == (0b01, 0)
     assert m.names == {"b": 0, "a": 1}  # gc keeps every name's bit
 
 
@@ -166,7 +171,7 @@ def test_matches_dict_reference(ops):
         for t in range(7):
             for name in "abcd":
                 assert m.get_at(t, name) is ref.get(Atom(t, name))
-            known, values = m.masks(t)
+            known, values = _masks(m, t)
             decoded = {
                 Atom(t, name): bool(values >> bit & 1)
                 for name, bit in m.names.items()
@@ -220,7 +225,7 @@ def test_low_and_high_marks_match_dict_reference(ops):
         assert len(m) == len(ref)
         assert m.max_time() == max((a.time for a in ref), default=None)
         for t in range(-8, 32):
-            known, values = m.masks(t)
+            known, values = _masks(m, t)
             decoded = {
                 Atom(t, name): bool(values >> bit & 1)
                 for name, bit in m.names.items()

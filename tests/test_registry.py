@@ -152,6 +152,29 @@ monitor m1 @ c := a | m0 trigger { (T(m0) & F(m0)) | T(m1) }
 
 
 @pytest.mark.parametrize(
+    "formula, expected",
+    [
+        ("trigger & a", ltl.And(ltl.Prop("trigger"), ltl.Prop("a"))),
+        ("a | trigger | a", ltl.Or(ltl.Or(ltl.Prop("a"), ltl.Prop("trigger")), ltl.Prop("a"))),
+    ],
+)
+def test_a_proposition_named_trigger_is_no_clause(formula, expected):
+    # only a trailing ``trigger wildcard`` or ``trigger { ... }`` is a clause
+    reg = load_registry(f"component c {{ trigger, a }}\nmonitor m @ c := {formula}")
+    assert reg.monitors["m"].formula == expected
+    assert reg.monitors["m"].expansion is EAGER
+    reg = load_registry(f"component c {{ trigger, a }}\nmonitor m @ c := {formula} trigger wildcard")
+    assert reg.monitors["m"].formula == expected
+    assert reg.monitors["m"].expansion is WILDCARD
+
+
+def test_lazy_demo_trigger_loads():
+    pair = bundled("lazy_demo").monitors["pair"]
+    assert pair.formula == ltl.And(ltl.Prop("ga"), ltl.Prop("gb"))
+    assert pair.expansion == TriggerOr(TriggerLit("ga", False), TriggerLit("gb", False))
+
+
+@pytest.mark.parametrize(
     "clause, message",
     [
         ("T(m0", "unclosed trigger literal"),

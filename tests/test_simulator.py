@@ -217,7 +217,7 @@ def test_message_count_per_round():
     trace = _violating_trace(8)
     report = run_simulation(PAIR, trace)
     # the light monitor sends one verdict per round to sc_light
-    assert report.messages_per_round == [1] * 8
+    assert list(report.messages_per_round) == [1] * 8
     assert report.total_messages == 8
 
 
@@ -552,9 +552,36 @@ def test_busy_replay_holds_one_row_object_per_row_value(monkeypatch):
         for table in (enc._steps, enc._narrows):
             rows += [key[0] for key in table] + [entry.row for entry in table.values()]
         for row in rows:
-            assert enc._rows[row][0] is row
+            assert enc._rows[row.pairs] is row
         held += len(rows)
     assert held > sum(len(enc._rows) for enc in encodings)
+
+
+def test_no_smove_reaches_the_instance_respawned_past_the_round(monkeypatch):
+    # concluding round r respawns an instance at r + 1, which has no round
+    # stored to expand over: the node stops stepping there
+    current = {}
+    step_node, smove = simulator._step_node, simulator.EHE.smove
+    calls = past = 0
+
+    def stepped(node, r, records):
+        current["round"] = r
+        return step_node(node, r, records)
+
+    def counted(enc, target, trail=None):
+        nonlocal calls, past
+        calls += 1
+        past += enc.t_origin > current["round"]
+        return smove(enc, target, trail)
+
+    monkeypatch.setattr(simulator, "_step_node", stepped)
+    monkeypatch.setattr(simulator.EHE, "smove", counted)
+    report = run_simulation(registry.bundled("amiqual"), benchmark_gen().sticky_trace(0, 250))
+    assert past == 0
+    # every node-round steps at least once, and backlogs step more; and
+    # rounds concluded in their own round, where the node stops, abound
+    assert calls > 49 * 250
+    assert sum(rec.delay == 0 for log in report.verdicts.values() for rec in log) > 49 * 100
 
 
 def test_sweeping_on_every_insertion_leaves_reports_unchanged(fresh_tables):
