@@ -41,10 +41,10 @@ Narrowing row t is a lookup too.  What it narrows to depends only on the
 row in its frame and on what the memory holds for the row's atoms, so the
 encoding keeps one narrow table, keyed by ``(row, known, values)``:
 bitmasks over the row's sorted atoms of those the memory holds at
-``a.time + t`` and of those that are true, read from the memory's maps in
-place.  A row with no atoms, or none of whose atoms is known, is left as
-it is; a miss substitutes the known atoms and simplifies each entry that
-takes one in (``_narrow``).  Entries of both tables are ``_Entry``s: the
+``a.time + t`` and of those that are true (``Memory.masks_over``).  A row
+with no atoms, or none of whose atoms is known, is left as it is; a miss
+substitutes the known atoms and simplifies each entry that takes one in
+(``_narrow``).  Entries of both tables are ``_Entry``s: the
 row a key leads to, its rewrite count and what it adds to the encoding's
 entry and node counts, applied the same way by ``smove`` and ``resolve``.
 The tables belong to one node's encoding for one run: ``respawn`` starts
@@ -244,15 +244,7 @@ class EHE:
             for t, row in entries.items():  # replacing a row keeps the keys
                 if not row.atoms:
                     continue
-                known = values = 0
-                for i, (time, name) in enumerate(row.atoms):
-                    bit = names.get(name)
-                    if bit is not None:
-                        stored, true = rounds.get(time + t, (0, 0))
-                        if stored >> bit & 1:
-                            known |= 1 << i
-                            if true >> bit & 1:
-                                values |= 1 << i
+                known, values = memory.masks_over(row.atoms, t)
                 # a substituted atom always changes the row, and only a
                 # changed row can have become certain
                 if known:
@@ -302,7 +294,7 @@ class EHE:
         self.n_entries, self.total_size = n_entries, total_size
         self.stats.simplifications += work
         found = (best, best_q, self.monitor.labels[best_q]) if merge is None else trail.found
-        if walk and found[2] is not Verdict.UNKNOWN:  # a walk that concludes is the trail's now
+        if walk and found[2].final:  # a walk that concludes is the trail's now
             rest = 0 if merge is None else merge[1]
             for t, step in reversed(walk):
                 trail.steps[t] = (step, rest)

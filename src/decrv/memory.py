@@ -5,7 +5,8 @@ by: ``rounds[t]`` is ``(known, values)`` over the memory's own names, where
 a name takes the next bit the first time it is stored and keeps it for
 good.  Bit ``names[n]`` of ``known`` is set when n is stored for round t,
 and of ``values`` when it is stored true; a round with nothing stored has
-no key.  The EHE reads both maps in place.
+no key.  The EHE keys its step table by the stored tuple, and its
+narrow table by ``masks_over`` a row's atoms.
 """
 
 from __future__ import annotations
@@ -72,6 +73,22 @@ class Memory:
         rounds[t] = (known | mask, values | mask if value else values)
         self._len += 1
         self.version += 1
+
+    def masks_over(self, atoms: tuple[Atom, ...], t: int) -> tuple[int, int]:
+        """(known, values) over ``atoms`` in frame t: bit i of ``known`` is
+        set when ``atoms[i]`` is stored for round ``atoms[i].time + t``, and
+        of ``values`` when it is stored true."""
+        names, rounds = self.names, self.rounds
+        known = values = 0
+        for i, (time, name) in enumerate(atoms):
+            bit = names.get(name)
+            if bit is not None:
+                stored, true = rounds.get(time + t, (0, 0))
+                if stored >> bit & 1:
+                    known |= 1 << i
+                    if true >> bit & 1:
+                        values |= 1 << i
+        return known, values
 
     def max_time(self) -> Optional[int]:
         return self._high if self.rounds else None

@@ -70,9 +70,9 @@ class VerdictRecord(NamedTuple):
 
 class _Records:
     """The run's shared records, one per verdict and delay; a log holds
-    indexes into ``table``.  The key is ``(verdict is TRUE, delay)``, with
-    None for UNKNOWN (logged at the trace end only), so no key hashes a
-    Verdict; ``_step_node`` probes ``_index`` with it in place."""
+    indexes into ``table``.  A record is found by ``(value, delay)``, where
+    ``value`` is ``verdict is TRUE``, or None for UNKNOWN (logged at the
+    trace end only), so no key hashes a Verdict."""
 
     __slots__ = ("table", "_index")
 
@@ -80,11 +80,12 @@ class _Records:
         self.table: list[VerdictRecord] = []
         self._index: dict[tuple[Optional[bool], int], int] = {}
 
-    def index(self, verdict: Verdict, delay: int) -> int:
-        key = (None if verdict is Verdict.UNKNOWN else verdict is Verdict.TRUE, delay)
+    def index(self, value: Optional[bool], delay: int) -> int:
+        key = (value, delay)
         i = self._index.get(key)
         if i is None:
             i = self._index[key] = len(self.table)
+            verdict = Verdict.UNKNOWN if value is None else Verdict.TRUE if value else Verdict.FALSE
             self.table.append(VerdictRecord(verdict, delay))
         return i
 
@@ -297,13 +298,9 @@ def run_simulation(
         for label in order:
             sent.extend(_step_node(nodes[label], r, records))
 
-        # 4. queue outgoing messages for later rounds; only a reordering
-        # policy draws, once per message
-        if delivery.mode == "reorder":
-            for msg in sent:
-                pending.setdefault(delivery.delivery_round(r, rng), []).append(msg)
-        elif sent:
-            pending.setdefault(delivery.delivery_round(r, rng), []).extend(sent)
+        # 4. queue outgoing messages for later rounds
+        for msg in sent:
+            pending.setdefault(delivery.delivery_round(r, rng), []).append(msg)
 
         max_size = max_entries = stored = 0
         for node in nodes.values():
@@ -322,7 +319,7 @@ def run_simulation(
     for label in order:
         log = nodes[label].log
         for t in range(len(log), n):
-            log.append(records.index(Verdict.UNKNOWN, n - 1 - t))
+            log.append(records.index(None, n - 1 - t))
 
     return SimulationReport(
         rounds=n,
@@ -396,15 +393,13 @@ def _step_node(node: _Node, r: int, records: _Records) -> list[tuple[str, str, i
     round r itself is concluded; return the messages to send."""
     out = []
     enc, trail = node.ehe, None  # a trail for instances respawned this round
-    index = records._index
     while True:
         target = _expansion_target(node, r)
         _, _, verdict = enc.smove(enc.t_last if target is None else target, trail)
         if verdict is Verdict.UNKNOWN:
             break
         t, value = enc.t_origin, verdict is Verdict.TRUE
-        i = index.get((value, r - t))
-        node.log.append(records.index(verdict, r - t) if i is None else i)
+        node.log.append(records.index(value, r - t))
         out += [(node.label, dep, t, value) for dep in node.dependents]
         if node.gc_enabled:
             enc.memory.gc(t)

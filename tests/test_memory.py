@@ -181,6 +181,14 @@ def test_matches_dict_reference(ops):
         assert len(m) == len(ref)
         assert m.max_time() == max((a.time for a in ref), default=None)
         assert _contents(m) == ref
+        # a row's atoms in frame t: bit i reads atom i at a.time + t
+        atoms = tuple(Atom(dt, name) for dt in (-1, 0, 2) for name in "abcde")
+        for t in range(-2, 7):
+            known, values = m.masks_over(atoms, t)
+            for i, a in enumerate(atoms):
+                got = ref.get(Atom(a.time + t, a.name))
+                assert bool(known >> i & 1) == (got is not None)
+                assert bool(values >> i & 1) == (got is True)
 
 
 _BOOKKEEPING_OPS = st.lists(
