@@ -109,7 +109,8 @@ _PUNCT = {
 }
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+def tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """``(kind, text, line, column)`` tokens of a formula, ending in EOF."""
     tokens = []
     line, col = 1, 1
     i = 0
@@ -163,8 +164,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
 class _Parser:
     """Recursive descent; precedence ! > unary temporal > U > & > | > ->."""
 
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list[tuple[str, str, int, int]]):
+        self.tokens = tokens
         self.pos = 0
 
     def peek(self) -> tuple[str, str, int, int]:
@@ -265,7 +266,12 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse a formula string, raising :class:`ParseError` with position."""
-    return _Parser(text).parse()
+    return parse_tokens(tokenize(text))
+
+
+def parse_tokens(tokens: list[tuple[str, str, int, int]]) -> Formula:
+    """Parse the tokens :func:`tokenize` made (a caller may filter them)."""
+    return _Parser(tokens).parse()
 
 
 def _rebuild(f: Formula, fn) -> Formula:

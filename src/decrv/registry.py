@@ -17,45 +17,17 @@ import os
 from typing import NamedTuple, Optional, Union
 
 from . import ltl
-from .base import Record, ValidationError
+from .base import ValidationError
 
 
 # --- expansion conditions -------------------------------------------------
 
-
-class TriggerLit(Record):
-    """Matches a received verdict: T(label) or F(label)."""
-
-    __slots__ = __match_args__ = ("label", "want")
-
-
-class _Junction(Record):
-    __slots__ = __match_args__ = ("left", "right")
-
-
-class TriggerAnd(_Junction):
-    __slots__ = ()
-
-
-class TriggerOr(_Junction):
-    __slots__ = ()
-
-
-Trigger = TriggerLit | TriggerAnd | TriggerOr
-
 WILDCARD = "wildcard"
 EAGER = "eager"
 
-Expansion = Union[str, Trigger]  # EAGER, WILDCARD, or an explicit trigger
-
-
-def trigger_labels(cond: Trigger) -> frozenset[str]:
-    match cond:
-        case TriggerLit(label, _):
-            return frozenset((label,))
-        case TriggerAnd(a, b) | TriggerOr(a, b):
-            return trigger_labels(a) | trigger_labels(b)
-    raise TypeError(f"unknown trigger {cond!r}")
+# EAGER, WILDCARD, or a trigger: a formula of Prop, Not(Prop), And and Or
+# over the labels the monitor references
+Expansion = Union[str, ltl.Formula]
 
 
 # --- declarations ---------------------------------------------------------
@@ -171,10 +143,13 @@ def _validate(
                 f"monitor {decl.label!r} uses {name!r}, which is neither a "
                 f"proposition of component {decl.component!r} nor another monitor"
             )
-        if not isinstance(decl.expansion, str):
-            for name in sorted(trigger_labels(decl.expansion) - labels):
-                raise SpecError(f"trigger of {decl.label!r} names unknown monitor {name!r}")
         registry.refs[decl.label] = refs = props & labels
+        if not isinstance(decl.expansion, str):
+            # a node receives verdicts only from the monitors it references
+            for name in sorted(ltl.propositions(decl.expansion) - refs):
+                raise SpecError(
+                    f"trigger of {decl.label!r} names {name!r}, which it does not reference"
+                )
         registry.own[decl.label] = tuple(sorted(props - refs))
         for ref in refs:
             registry.dependents[ref].append(decl.label)
@@ -206,69 +181,26 @@ def _depth(registry: Registry, label: str, in_progress: list[str]) -> int:
 # --- parsing --------------------------------------------------------------
 
 
-def _parse_trigger(text: str, lineno: int) -> Trigger:
-    tokens: list[str] = []
+def _parse_trigger(clause: str, lineno: int) -> ltl.Formula:
+    """Read a trigger as an LTL formula: ``T(l)`` is ``l``, ``F(l)`` is
+    ``!l``, and only ``&``, ``|`` and parentheses join them."""
+    tokens = ltl.tokenize(clause)
+    kept = []
     i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
+    while i < len(tokens):
+        tok = tokens[i]
+        shape = [t[0] for t in tokens[i + 1 : i + 4]]
+        if tok[1] in ("T", "F") and shape == ["LPAREN", "IDENT", "RPAREN"]:
+            label = tokens[i + 2]
+            _name(label[1], lineno)
+            kept += [label] if tok[1] == "T" else [("NOT", "!", *tok[2:]), label]
+            i += 4
+        elif tok[0] in ("AND", "OR", "LPAREN", "RPAREN", "EOF"):
+            kept.append(tok)
             i += 1
-        elif c in "&|()":
-            tokens.append(c)
-            i += 1
-        elif text[i : i + 2] in ("T(", "F("):
-            close = text.find(")", i)
-            if close < 0:
-                raise SpecError(f"line {lineno}: unclosed trigger literal")
-            tokens.append(text[i : close + 1])
-            i = close + 1
         else:
-            raise SpecError(f"line {lineno}: bad trigger syntax near {text[i:]!r}")
-    parser = _TriggerParser(tokens, lineno)
-    node = parser.disjunction()
-    if parser.pos != len(tokens):
-        raise SpecError(f"line {lineno}: trailing trigger tokens")
-    return node
-
-
-class _TriggerParser:
-    """Recursive descent over trigger tokens; & binds tighter than |."""
-
-    def __init__(self, tokens: list[str], lineno: int):
-        self.tokens = tokens
-        self.lineno = lineno
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def disjunction(self) -> Trigger:
-        node = self.conjunction()
-        while self.peek() == "|":
-            self.pos += 1
-            node = TriggerOr(node, self.conjunction())
-        return node
-
-    def conjunction(self) -> Trigger:
-        node = self.atom()
-        while self.peek() == "&":
-            self.pos += 1
-            node = TriggerAnd(node, self.atom())
-        return node
-
-    def atom(self) -> Trigger:
-        tok = self.peek()
-        if tok == "(":
-            self.pos += 1
-            node = self.disjunction()
-            if self.peek() != ")":
-                raise SpecError(f"line {self.lineno}: expected ')' in trigger")
-            self.pos += 1
-            return node
-        if tok and tok[0] in "TF" and tok.endswith(")"):
-            self.pos += 1
-            return TriggerLit(tok[2:-1].strip(), tok[0] == "T")
-        raise SpecError(f"line {self.lineno}: bad trigger token {tok!r}")
+            raise SpecError(f"line {lineno}: bad trigger token {tok[1]!r}")
+    return ltl.parse_tokens(kept)
 
 
 def _name(text: str, lineno: int) -> str:
@@ -293,7 +225,13 @@ def load_registry(text: str) -> Registry:
                 raise SpecError(f"line {lineno}: expected 'component <name> {{ ... }}'")
             name, body = rest.split("{", 1)
             name = _name(name, lineno)
-            aps = frozenset(_name(ap, lineno) for ap in body[:-1].split(",") if ap.strip())
+            listed = [_name(ap, lineno) for ap in body[:-1].split(",") if ap.strip()]
+            for ap in listed:
+                if listed.count(ap) > 1:
+                    raise SpecError(
+                        f"line {lineno}: proposition {ap!r} listed twice in component {name!r}"
+                    )
+            aps = frozenset(listed)
             ap_at.update(dict.fromkeys(aps, lineno))
             if name in components:
                 raise SpecError(f"line {lineno}: duplicate component {name!r}")
@@ -312,11 +250,11 @@ def load_registry(text: str) -> Registry:
             # only a trailing clause is one: a proposition may be named trigger
             head, sep, clause = rest.rpartition(" trigger ")
             clause = clause.strip()
-            if sep and clause == "wildcard":
-                rest, expansion = head, WILDCARD
-            elif sep and clause[:1] == "{" and clause[-1:] == "}":
-                rest, expansion = head, _parse_trigger(clause[1:-1], lineno)
             try:
+                if sep and clause == "wildcard":
+                    rest, expansion = head, WILDCARD
+                elif sep and clause[:1] == "{" and clause[-1:] == "}":
+                    rest, expansion = head, _parse_trigger(clause[1:-1], lineno)
                 formula = ltl.parse(rest.strip())
             except ltl.ParseError as exc:
                 raise SpecError(f"line {lineno}: {exc}") from exc

@@ -21,12 +21,12 @@ from array import array
 from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional, TextIO
 
-from . import synthesis
+from . import ltl, synthesis
 from .base import Record, ValidationError
 from .ehe import EHE, Trail
 from .expr import SimplifyStats
 from .memory import Memory
-from .registry import EAGER, WILDCARD, Registry, Trigger, TriggerAnd, TriggerLit, TriggerOr
+from .registry import EAGER, WILDCARD, Registry
 from .verdicts import Verdict
 
 
@@ -355,15 +355,17 @@ def _make_nodes(
     return nodes
 
 
-def sadv(cond: Trigger, memory: Memory, t: int) -> bool:
-    """Does the expansion condition hold for the verdicts stored at round t?"""
+def sadv(cond: ltl.Formula, memory: Memory, t: int) -> bool:
+    """Does the expansion condition hold for the verdicts stored at round t?
+    A label holds on a TRUE verdict, its negation on a FALSE one."""
     match cond:
-        case TriggerLit(label, want):
-            got = memory.get_at(t, label)
-            return got is not None and got == want
-        case TriggerAnd(a, b):
+        case ltl.Prop(label):
+            return memory.get_at(t, label) is True
+        case ltl.Not(ltl.Prop(label)):
+            return memory.get_at(t, label) is False
+        case ltl.And(a, b):
             return sadv(a, memory, t) and sadv(b, memory, t)
-        case TriggerOr(a, b):
+        case ltl.Or(a, b):
             return sadv(a, memory, t) or sadv(b, memory, t)
     raise TypeError(f"unknown trigger {cond!r}")
 

@@ -8,7 +8,7 @@ import os
 import random
 
 from decrv import expr, ltl, registry
-from decrv.registry import EAGER, WILDCARD, TriggerLit, TriggerOr
+from decrv.registry import EAGER, WILDCARD
 from decrv.simulator import DeliveryPolicy, SimulationOptions
 
 
@@ -231,9 +231,9 @@ def _random_registry(rng: random.Random) -> registry.Registry:
             if mode == 1:
                 expansion = WILDCARD
             elif mode == 2:
-                cond = TriggerLit(refs_used[0], True)
+                cond = ltl.Prop(refs_used[0])
                 for r in refs_used:
-                    cond = TriggerOr(cond, TriggerLit(r, False))
+                    cond = ltl.Or(cond, ltl.Not(ltl.Prop(r)))
                 expansion = cond
         decls.append((label, comp, formula, expansion))
         labels.append(label)

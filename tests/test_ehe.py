@@ -7,7 +7,6 @@ from decrv import ehe, expr, ltl, synthesis
 from decrv.ehe import EHE
 from decrv.expr import Atom
 from decrv.memory import Memory
-from decrv.registry import TriggerAnd, TriggerLit, TriggerOr
 from decrv.simulator import sadv
 from decrv.verdicts import Verdict
 
@@ -217,9 +216,9 @@ def test_resolve_cached_when_memory_unchanged():
 def test_sadv_polarity():
     m = Memory()
     m.store(Atom(5, "M0"), False)
-    cond = TriggerOr(TriggerLit("M0", False), TriggerLit("M1", False))
+    cond = ltl.parse("!M0 | !M1")
     assert sadv(cond, m, 5)
-    assert not sadv(TriggerLit("M0", True), m, 5)
+    assert not sadv(ltl.Prop("M0"), m, 5)
     assert not sadv(cond, Memory(), 5)
 
 
@@ -227,8 +226,8 @@ def test_sadv_conjunction():
     m = Memory()
     m.store(Atom(2, "M0"), True)
     m.store(Atom(2, "M1"), False)
-    assert sadv(TriggerAnd(TriggerLit("M0", True), TriggerLit("M1", False)), m, 2)
-    assert not sadv(TriggerAnd(TriggerLit("M0", True), TriggerLit("M1", True)), m, 2)
+    assert sadv(ltl.parse("M0 & !M1"), m, 2)
+    assert not sadv(ltl.parse("M0 & M1"), m, 2)
 
 
 def _symbolic_row(monitor, prev, t, memory):

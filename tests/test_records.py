@@ -5,7 +5,7 @@ no assignment, and the validations of their constructors."""
 import pytest
 
 from decrv import ltl, traceio
-from decrv.registry import SpecError, TriggerAnd, TriggerLit, TriggerOr
+from decrv.registry import SpecError
 from decrv.simulator import DeliveryPolicy, SimulationError
 
 P = ltl.Prop("p")
@@ -16,9 +16,7 @@ def test_equality_is_by_class_and_fields():
     assert ltl.And(P, ltl.Prop("q")) == ltl.parse("p & q")
     assert ltl.Globally(P) != ltl.Finally(P)
     assert ltl.Prop("a") != ("a",)
-    assert TriggerAnd(TriggerLit("a", True), TriggerLit("b", True)) != TriggerOr(
-        TriggerLit("a", True), TriggerLit("b", True)
-    )
+    assert ltl.And(P, ltl.Prop("q")) != ltl.Or(P, ltl.Prop("q"))
     assert DeliveryPolicy() == DeliveryPolicy("immediate", 0) != DeliveryPolicy("delay", 0)
 
 
@@ -26,7 +24,7 @@ def test_hash_is_the_hash_of_the_field_tuple():
     assert hash(ltl.Prop("a")) == hash(("a",))
     assert hash(ltl.And(P, ltl.TRUE)) == hash((P, ltl.TRUE))
     assert hash(ltl.FinallyWithin(3, P)) == hash((3, P))
-    assert hash(TriggerLit("m", False)) == hash(("m", False))
+    assert hash(ltl.Not(P)) == hash((P,))
     assert hash(DeliveryPolicy("reorder", 2)) == hash(("reorder", 2))
     assert len({ltl.Globally(P), ltl.Globally(ltl.Prop("p")), ltl.Finally(P)}) == 2
 
@@ -38,11 +36,6 @@ def test_repr_names_every_field():
         "Until(left=Prop(name='l'), right=Not(operand=Prop(name='s')))))), "
         "right=FinallyWithin(bound=2, operand=Const(value=True)))"
     )
-    trigger = TriggerOr(TriggerAnd(TriggerLit("a", True), TriggerLit("b", False)), TriggerLit("c", True))
-    assert repr(trigger) == (
-        "TriggerOr(left=TriggerAnd(left=TriggerLit(label='a', want=True), "
-        "right=TriggerLit(label='b', want=False)), right=TriggerLit(label='c', want=True))"
-    )
     assert repr(DeliveryPolicy("reorder", 3)) == "DeliveryPolicy(mode='reorder', delay=3)"
     assert repr(traceio.PollConfig(0, 10, 2)) == "PollConfig(start=0, end=10, interval=2)"
 
@@ -53,9 +46,9 @@ def test_positional_match():
             assert (bound, left, right) == (4, "a", "b")
         case _:
             pytest.fail("no match")
-    match TriggerAnd(TriggerLit("x", True), TriggerLit("y", False)):
-        case TriggerAnd(TriggerLit(a, True), TriggerLit(b, want)):
-            assert (a, b, want) == ("x", "y", False)
+    match ltl.parse("x & !y"):
+        case ltl.And(ltl.Prop(a), ltl.Not(ltl.Prop(b))):
+            assert (a, b) == ("x", "y")
         case _:
             pytest.fail("no match")
 
@@ -66,7 +59,7 @@ def test_positional_match():
         (ltl.Prop("a"), "name"),
         (ltl.And(P, P), "left"),
         (ltl.GloballyWithin(2, P), "bound"),
-        (TriggerLit("a", True), "want"),
+        (ltl.Not(P), "operand"),
         (DeliveryPolicy(), "delay"),
         (traceio.SensorLog((0,), ("ON",)), "times"),
         (traceio.PollConfig(0, 2, 1), "interval"),
@@ -103,8 +96,8 @@ def test_constructors_validate():
         (ltl.Prop, ("a", "b")),
         (ltl.And, (P,)),
         (ltl.Not, (P, P)),
-        (TriggerLit, ("a", True, False)),
-        (TriggerOr, (TriggerLit("a", True),)),
+        (ltl.Const, (True, False)),
+        (ltl.Until, (P, P, P)),
     ],
 )
 def test_constructor_takes_one_value_per_field(cls, values):

@@ -13,9 +13,6 @@ from decrv.registry import (
     CycleError,
     DuplicateLabelError,
     SpecError,
-    TriggerAnd,
-    TriggerLit,
-    TriggerOr,
     UnknownComponentError,
     bundled,
     light_switch_family,
@@ -131,9 +128,7 @@ monitor pair @ ca := ga & gb trigger { F(ga) | F(gb) }
 monitor wild @ ca := ga trigger wildcard
 """
     )
-    assert reg.monitors["pair"].expansion == TriggerOr(
-        TriggerLit("ga", False), TriggerLit("gb", False)
-    )
+    assert reg.monitors["pair"].expansion == ltl.parse("!ga | !gb")
     assert reg.monitors["wild"].expansion is WILDCARD
 
 
@@ -142,13 +137,11 @@ def test_trigger_conjunction_and_parens():
         """
 component c { a }
 monitor m0 @ c := a
-monitor m1 @ c := a | m0 trigger { (T(m0) & F(m0)) | T(m1) }
+monitor m1 @ c := a
+monitor m2 @ c := m0 | m1 trigger { (T(m0) & F(m0)) | T(m1) }
 """
     )
-    assert reg.monitors["m1"].expansion == TriggerOr(
-        TriggerAnd(TriggerLit("m0", True), TriggerLit("m0", False)),
-        TriggerLit("m1", True),
-    )
+    assert reg.monitors["m2"].expansion == ltl.parse("(m0 & !m0) | m1")
 
 
 @pytest.mark.parametrize(
@@ -171,21 +164,27 @@ def test_a_proposition_named_trigger_is_no_clause(formula, expected):
 def test_lazy_demo_trigger_loads():
     pair = bundled("lazy_demo").monitors["pair"]
     assert pair.formula == ltl.And(ltl.Prop("ga"), ltl.Prop("gb"))
-    assert pair.expansion == TriggerOr(TriggerLit("ga", False), TriggerLit("gb", False))
+    assert pair.expansion == ltl.parse("!ga | !gb")
 
 
 @pytest.mark.parametrize(
     "clause, message",
     [
-        ("T(m0", "unclosed trigger literal"),
-        ("T(m0) ! T(m0)", "bad trigger syntax near '! T(m0)"),
-        ("(T(m0) | F(m0)", "expected ')' in trigger"),
-        ("T(m0) &", "bad trigger token None"),
-        ("| T(m0)", "bad trigger token '|'"),
-        ("T(m0) T(m0)", "trailing trigger tokens"),
+        ("T(m0", "bad trigger token 'T'"),
+        ("T(m0) ! T(m0)", "bad trigger token '!'"),
+        ("(T(m0) | F(m0)", "expected RPAREN, found ''"),
+        ("T(m0) &", "unexpected token ''"),
+        ("| T(m0)", "unexpected token '|'"),
+        ("T(m0) T(m0)", "unexpected token 'm0'"),
+        ("X T(m0)", "bad trigger token 'X'"),
+        ("!T(m0)", "bad trigger token '!'"),
+        ("m0", "bad trigger token 'm0'"),
+        ("T(true)", "'true' is not a name"),
     ],
 )
 def test_trigger_syntax_errors_name_the_line(clause, message):
+    # a trigger is read by the LTL parser, but only T(l), F(l), &, | and
+    # parentheses get through to it
     text = f"component c {{ a }}\nmonitor m0 @ c := a\nmonitor m1 @ c := m0 trigger {{ {clause} }}"
     with pytest.raises(SpecError, match=f"^line 3: {re.escape(message)}"):
         load_registry(text)
@@ -200,6 +199,10 @@ def test_trigger_syntax_errors_name_the_line(clause, message):
         ("component c { a, true }", "line 1: 'true' is not a name"),
         ("component X { a }", "line 1: 'X' is not a name"),
         ("component c { \u00e9 }", "line 1: '\u00e9' is not a name"),
+        (
+            "component d { b }\ncomponent c { a, b2, a }",
+            "line 2: proposition 'a' listed twice in component 'c'",
+        ),
         ("component c { a, m }\nmonitor m @ c := a", "lines 1 and 2: proposition 'm' is a label"),
         ("monitor m @ c := a\n\ncomponent c { a, m }", "lines 3 and 1: proposition 'm' is a label"),
     ],
@@ -251,6 +254,14 @@ def test_cycle_rejected_with_cycle_listed():
 def test_unknown_trigger_label_rejected():
     with pytest.raises(SpecError):
         load_registry("component c { a }\nmonitor m @ c := a trigger { T(ghost) }")
+
+
+def test_trigger_names_only_referenced_monitors():
+    # m1 receives verdicts from m0 alone, so a trigger on m2 could never fire
+    text = "component c { a }\nmonitor m0 @ c := a\nmonitor m2 @ c := a\n"
+    load_registry(text + "monitor m1 @ c := m0 trigger { T(m0) }")
+    with pytest.raises(SpecError, match="^trigger of 'm1' names 'm2', which it does not reference$"):
+        load_registry(text + "monitor m1 @ c := m0 trigger { T(m2) }")
 
 
 def test_bad_formula_reports_line():

@@ -12,7 +12,7 @@ import pytest
 from decrv import expr, ltl, oracle, registry, simulator, synthesis
 from decrv.expr import Atom
 from decrv.memory import Memory
-from decrv.registry import TriggerLit, TriggerOr, load_registry
+from decrv.registry import load_registry
 from decrv.simulator import DeliveryPolicy, SimulationError, SimulationOptions, run_simulation
 from decrv.verdicts import Verdict
 
@@ -269,7 +269,7 @@ def test_lazy_expansion_still_concludes_on_violation():
 def test_expansion_target_is_one_past_the_latest_matching_round():
     # a trigger expands the encoding to one past its latest match in
     # [t_last, t_max] of the memory, and holds when nothing there matches
-    cond = TriggerOr(TriggerLit("M0", False), TriggerLit("M1", False))
+    cond = ltl.parse("!M0 | !M1")
     monitor = synthesis.build(ltl.parse("G !a"))
 
     def target(stored, t_last):
@@ -314,6 +314,56 @@ monitor mix @ ca := ga & a trigger wildcard
     report = run_simulation(reg, [{"a": False}] * 5)
     # formula mixes a sensor with a reference, so laziness must not apply
     assert report.verdicts["mix"][0].verdict is Verdict.FALSE
+
+
+TRIGGERED = load_registry(
+    """
+component ca { a }
+component cb { b }
+component cc { c }
+monitor ma @ ca := a
+monitor mb @ cb := b | X b
+monitor mc @ cc := F<=2 c
+monitor ga @ ca := G(a | X a)
+monitor pair @ cb := (ma & mb) | mc trigger { (F(ma) & T(mb)) | F(mc) }
+monitor safe @ cc := G(ga | pair) trigger { F(ga) | (F(pair) & F(ga)) }
+monitor wild @ ca := X pair & (mb | ga) trigger wildcard
+"""
+)
+
+
+@pytest.mark.parametrize(
+    "delivery, digests",
+    [
+        (
+            DeliveryPolicy(),
+            [
+                "eb2f076498b6290bf0ad8b9a663e308603171ee3d1e738ef77e79b68adc48157",
+                "a9f31715c2706e56dac75c995603a5b3c137af42428e6a4d407ae44378f421fc",
+                "0b8d052d1e719b2604ac55d5a92988f3adbcd47792d34835d9a3cdb1b4875267",
+                "e6b156eef3392f13094be82503f739d2a18ccd2888e1b4d0a925b8d00660f8bd",
+            ],
+        ),
+        (
+            DeliveryPolicy("reorder", 2),
+            [
+                "f8844deec2d08351037e9a5c5756e3605d38ae4b80b103e0208f979d5f90df67",
+                "be4e2c113e908e6296fe64bd2de945136a14e7668409b5675452119e8240fb2c",
+                "a28658f4cc7d551a3d1d7977c5811201d99821471f7c12d4be103355779d892b",
+                "d6fb54e06fc19a1c653335c3b9978edec576f4e199a5512e7624da8506879889",
+            ],
+        ),
+    ],
+    ids=["immediate", "reorder2"],
+)
+def test_triggered_replay_digests(delivery, digests):
+    # pins what triggers (&, |, parentheses, F and T literals) and wildcard
+    # expansion do to the four reports, byte for byte
+    rng = random.Random(3)
+    trace = [{p: rng.random() < 0.7 for p in "abc"} for _ in range(300)]
+    report = run_simulation(TRIGGERED, trace, SimulationOptions(delivery=delivery))
+    texts = (report.verdicts_csv(), report.metrics_csv(), report.summary_txt(), report.timeline_tsv())
+    assert [hashlib.sha256(text.encode()).hexdigest() for text in texts] == digests
 
 
 def test_steady_state_rate_prediction_pair():
