@@ -2,13 +2,17 @@
 
 The surface syntax accepts bounded windows ``F<=n`` / ``G<=n`` and
 implication; :func:`desugar` lowers all three so that downstream code only
-sees the classic connectives plus ``X``/``U``/``G``/``F``.
+sees the classic connectives plus ``X``/``U``/``G``/``F``.  The operator
+tables ``_BINARY`` and ``_UNARY`` are the one statement of the grammar's
+precedence and associativity: the parser and :func:`render` both read them.
 
 Propositions and monitor references share one namespace here; the registry
 decides which identifiers name monitors.
 """
 
 from __future__ import annotations
+
+import re
 
 from .base import Record
 
@@ -92,176 +96,107 @@ FALSE = Const(False)
 
 
 class ParseError(ValueError):
-    """Syntax error with source position."""
+    """Syntax error at a position; ``message`` is the text without it."""
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message
         self.line = line
         self.column = column
 
 
-_PUNCT = {
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "!": "NOT",
-    "&": "AND",
-    "|": "OR",
-}
+# one token per match, after any blanks: the group that matched names its
+# kind; any other non-blank character is an error
+_TOKEN = re.compile(
+    r"\s*(?:(?P<INT>[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<ARROW>->)|(?P<LE><=)"
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<NOT>!)|(?P<AND>&)|(?P<OR>\|)|(?P<BAD>\S))"
+)
 
 
 def tokenize(text: str) -> list[tuple[str, str, int, int]]:
     """``(kind, text, line, column)`` tokens of a formula, ending in EOF."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if c in _PUNCT:
-            tokens.append((_PUNCT[c], c, line, col))
-            i += 1
-            col += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("<=", i):
-            tokens.append(("LE", "<=", line, col))
-            i += 2
-            col += 2
-            continue
-        if c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(("EOF", "", line, col))
+    for line, row in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(row):
+            kind = m.lastgroup
+            if kind == "BAD":
+                raise ParseError(f"unexpected character {m[kind]!r}", line, m.start(kind) + 1)
+            tokens.append((kind, m[kind], line, m.start(kind) + 1))
+    tokens.append(("EOF", "", line, len(row) + 1))
     return tokens
 
 
+# The grammar's precedence, stated once: binary operators loosest first, as
+# (token, node, right-associative); each binds tighter than those above it.
+# The unary operators bind tighter still, each with its bounded window (if any).
+_BINARY = (("->", Implies, True), ("|", Or, False), ("&", And, False), ("U", Until, True))
+_INFIX = {text: (level, cls, right) for level, (text, cls, right) in enumerate(_BINARY)}
+_UNARY = {"!": (Not, None), "X": (Next, None), "G": (Globally, GloballyWithin),
+          "F": (Finally, FinallyWithin)}
+_OPERAND = len(_BINARY)  # the level of a unary operator's operand
+
+
 class _Parser:
-    """Recursive descent; precedence ! > unary temporal > U > & > | > ->."""
+    """Precedence climbing (Pratt, POPL 1973) over ``_BINARY`` and
+    ``_UNARY``, the one statement of the grammar's precedence, which
+    :func:`render` reads too."""
 
     def __init__(self, tokens: list[tuple[str, str, int, int]]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> tuple[str, str, int, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2], tok[3])
-        return self.advance()
-
     def parse(self) -> Formula:
-        f = self.implication()
-        tok = self.peek()
+        f = self.binary(0)
+        tok = self.tokens[self.pos]
         if tok[0] != "EOF":
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
+            raise ParseError(f"unexpected token {tok[1]!r}", *tok[2:])
         return f
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "ARROW":
-            self.advance()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek()[0] == "OR":
-            self.advance()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.until()
-        while self.peek()[0] == "AND":
-            self.advance()
-            f = And(f, self.until())
-        return f
-
-    def until(self) -> Formula:
+    def binary(self, floor: int) -> Formula:
+        """An operand, then any operators of level ``floor`` or tighter."""
         left = self.unary()
-        tok = self.peek()
-        if tok[0] == "IDENT" and tok[1] == "U":
-            self.advance()
-            return Until(left, self.until())
-        return left
+        while True:
+            op = _INFIX.get(self.tokens[self.pos][1])
+            if op is None or op[0] < floor:
+                return left
+            level, cls, right = op
+            self.pos += 1
+            left = cls(left, self.binary(level if right else level + 1))
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok[0] == "NOT":
-            self.advance()
-            return Not(self.unary())
-        if tok[0] == "IDENT" and tok[1] in ("X", "G", "F"):
-            self.advance()
-            if self.peek()[0] == "LE":
-                if tok[1] == "X":
-                    raise ParseError("X takes no bound", tok[2], tok[3])
-                self.advance()
-                bound = self.bound()
-                sub = self.unary()
-                return (FinallyWithin if tok[1] == "F" else GloballyWithin)(bound, sub)
-            sub = self.unary()
-            if tok[1] == "X":
-                return Next(sub)
-            if tok[1] == "G":
-                return Globally(sub)
-            return Finally(sub)
-        return self.atom()
-
-    def bound(self) -> int:
-        tok = self.peek()
-        if tok[0] != "INT":
-            raise ParseError("expected a non-negative bound", tok[2], tok[3])
-        self.advance()
-        return int(tok[1])
+        tok = self.tokens[self.pos]
+        op = _UNARY.get(tok[1])
+        if op is None:
+            return self.atom()
+        self.pos += 1
+        cls, window = op
+        if tok[0] != "IDENT" or self.tokens[self.pos][0] != "LE":
+            return cls(self.unary())
+        if window is None:
+            raise ParseError(f"{tok[1]} takes no bound", *tok[2:])
+        bound = self.tokens[self.pos + 1]
+        self.pos += 2
+        if bound[0] != "INT":
+            raise ParseError("expected a non-negative bound", *bound[2:])
+        return window(int(bound[1]), self.unary())
 
     def atom(self) -> Formula:
-        tok = self.advance()
+        tok = self.tokens[self.pos]
+        self.pos += 1
         if tok[0] == "LPAREN":
-            f = self.implication()
-            self.expect("RPAREN")
+            f = self.binary(0)
+            end = self.tokens[self.pos]
+            self.pos += 1
+            if end[0] != "RPAREN":
+                raise ParseError(f"expected RPAREN, found {end[1]!r}", *end[2:])
             return f
         if tok[0] == "IDENT":
-            if tok[1] == "true":
-                return TRUE
-            if tok[1] == "false":
-                return FALSE
-            if tok[1] in ("X", "G", "F", "U"):
-                raise ParseError(f"operator {tok[1]} needs an operand", tok[2], tok[3])
+            if tok[1] in ("true", "false"):
+                return TRUE if tok[1] == "true" else FALSE
+            if tok[1] in _UNARY or tok[1] in _INFIX:
+                raise ParseError(f"operator {tok[1]} needs an operand", *tok[2:])
             return Prop(tok[1])
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
+        raise ParseError(f"unexpected token {tok[1]!r}", *tok[2:])
 
 
 def parse(text: str) -> Formula:
@@ -343,35 +278,24 @@ def render(f: Formula) -> str:
     return _render(f, 0)
 
 
+_PREFIX = {cls: text for text, pair in _UNARY.items() for cls in pair if cls}
+_LEVEL = {cls: (level, text, right) for level, (text, cls, right) in enumerate(_BINARY)}
+
+
 def _render(g: Formula, parent: int) -> str:
-    # precedence levels: -> 0, | 1, & 2, U 3, unary 4, atom 5
+    """``g`` under an operator of level ``parent``, as :data:`_BINARY` numbers
+    them: parenthesised when it binds more loosely."""
     match g:
         case Const(v):
             return "true" if v else "false"
         case Prop(name):
             return name
-        case Not(a):
-            return "!" + _render(a, 4)
-        case Next(a):
-            return "X " + _render(a, 4)
-        case Globally(a):
-            return "G " + _render(a, 4)
-        case Finally(a):
-            return "F " + _render(a, 4)
-        case FinallyWithin(b, a):
-            return f"F<={b} " + _render(a, 4)
-        case GloballyWithin(b, a):
-            return f"G<={b} " + _render(a, 4)
-        case Until(a, b):
-            s = _render(a, 4) + " U " + _render(b, 3)
-            return f"({s})" if parent > 3 else s
-        case And(a, b):
-            s = _render(a, 3) + " & " + _render(b, 3)
-            return f"({s})" if parent > 2 else s
-        case Or(a, b):
-            s = _render(a, 2) + " | " + _render(b, 2)
-            return f"({s})" if parent > 1 else s
-        case Implies(a, b):
-            s = _render(a, 1) + " -> " + _render(b, 0)
-            return f"({s})" if parent > 0 else s
+        case _Unary(a):
+            return _PREFIX[type(g)] + ("" if type(g) is Not else " ") + _render(a, _OPERAND)
+        case _Window(b, a):
+            return f"{_PREFIX[type(g)]}<={b} " + _render(a, _OPERAND)
+        case _Binary(a, b):
+            level, text, right = _LEVEL[type(g)]
+            s = f"{_render(a, level + 1)} {text} {_render(b, level if right else level + 1)}"
+            return f"({s})" if parent > level else s
     raise TypeError(f"unknown node {g!r}")

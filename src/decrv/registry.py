@@ -250,14 +250,17 @@ def load_registry(text: str) -> Registry:
             # only a trailing clause is one: a proposition may be named trigger
             head, sep, clause = rest.rpartition(" trigger ")
             clause = clause.strip()
+            at = formula_at = raw.index(":=") + 2  # spec columns before the parsed text
             try:
                 if sep and clause == "wildcard":
                     rest, expansion = head, WILDCARD
                 elif sep and clause[:1] == "{" and clause[-1:] == "}":
+                    at += len(rest) - len(clause) + 1
                     rest, expansion = head, _parse_trigger(clause[1:-1], lineno)
-                formula = ltl.parse(rest.strip())
+                    at = formula_at
+                formula = ltl.parse(rest)
             except ltl.ParseError as exc:
-                raise SpecError(f"line {lineno}: {exc}") from exc
+                raise SpecError(f"line {lineno}, column {at + exc.column}: {exc.message}") from exc
             if label in monitors:
                 raise DuplicateLabelError(f"line {lineno}: duplicate label {label!r}")
             monitors[label] = MonitorDecl(label, component, formula, expansion)

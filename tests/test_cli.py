@@ -398,6 +398,16 @@ def test_replay_rejects_a_bad_label_as_validation_error(workspace, capsys, label
     assert not out.exists()
 
 
+def test_replay_rejects_a_non_ascii_bound_as_validation_error(workspace, capsys):
+    # "\u00b2".isdigit() holds, but only 0-9 make a bound
+    (workspace / "pair.dspec").write_text(SPEC + "monitor m @ sw := F<=\u00b2 s\n")
+    code, out = _replay(workspace, "superscript")
+    assert code == 2
+    message = "line 6, column 22: unexpected character '\u00b2'"
+    assert capsys.readouterr().err == f"decrv: validation: {message}\n"
+    assert not out.exists()
+
+
 def test_rates(workspace, capsys):
     (workspace / "s.csv").write_text("0,ON\n1000,OFF\n4000,ON\n")
     assert main(["rates", str(workspace / "sensors.manifest")]) == 0

@@ -33,6 +33,7 @@ def test_parse_precedence():
     assert ltl.parse("a & b | c") == Or(And(Prop("a"), Prop("b")), Prop("c"))
     assert ltl.parse("a | b -> c") == Implies(Or(Prop("a"), Prop("b")), Prop("c"))
     assert ltl.parse("a U b & c") == And(Until(Prop("a"), Prop("b")), Prop("c"))
+    assert ltl.parse("a->b") == Implies(Prop("a"), Prop("b"))
 
 
 def test_parse_right_associativity():
@@ -54,20 +55,30 @@ def test_parse_bounded_operators():
     assert ltl.parse("F<=3 a") == FinallyWithin(3, Prop("a"))
     assert ltl.parse("G<=0 a") == GloballyWithin(0, Prop("a"))
     assert ltl.parse("G<=25 (a | b)") == GloballyWithin(25, Or(Prop("a"), Prop("b")))
+    assert ltl.parse("F<=3a") == FinallyWithin(3, Prop("a"))
+
+
+# text, message, line, column
+PARSE_ERRORS = [
+    ("a &", "unexpected token ''", 1, 4),
+    ("F<= a", "expected a non-negative bound", 1, 5),
+    ("X<=2 a", "X takes no bound", 1, 1),
+    ("(a", "expected RPAREN, found ''", 1, 3),
+    ("a @ b", "unexpected character '@'", 1, 3),
+    ("a\n& @", "unexpected character '@'", 2, 3),
+    ("a U", "unexpected token ''", 1, 4),
+    ("a b", "unexpected token 'b'", 1, 3),
+    ("U a", "operator U needs an operand", 1, 1),
+    ("F<=\u00b2 a", "unexpected character '\u00b2'", 1, 4),  # a bound is 0-9 only
+]
 
 
 def test_parse_errors_have_positions():
-    with pytest.raises(ParseError) as err:
-        ltl.parse("a &")
-    assert err.value.line == 1
-    with pytest.raises(ParseError):
-        ltl.parse("F<= a")
-    with pytest.raises(ParseError):
-        ltl.parse("X<=2 a")
-    with pytest.raises(ParseError):
-        ltl.parse("(a")
-    with pytest.raises(ParseError):
-        ltl.parse("a @ b")
+    for text, message, line, column in PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            ltl.parse(text)
+        assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+        assert str(err.value) == f"{message} (line {line}, column {column})"
 
 
 def test_negative_bound_rejected():
@@ -149,7 +160,9 @@ def formulas(draw, depth=3):
 
 @given(formulas())
 def test_render_parse_roundtrip(f):
-    assert ltl.parse(ltl.render(f)) == f
+    text = ltl.render(f)
+    assert ltl.parse(text) == f
+    assert ltl.render(ltl.parse(text)) == text
 
 
 @given(formulas())

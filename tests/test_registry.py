@@ -1,5 +1,8 @@
 """Spec registry: grammar, validation errors, hierarchy queries."""
 
+import glob
+import hashlib
+import os
 import random
 import re
 
@@ -184,9 +187,38 @@ def test_lazy_demo_trigger_loads():
 )
 def test_trigger_syntax_errors_name_the_line(clause, message):
     # a trigger is read by the LTL parser, but only T(l), F(l), &, | and
-    # parentheses get through to it
+    # parentheses get through to it; the parser's errors name the column
+    # too, counted in the spec line, whose clause starts at column 32
+    column = {"(T(m0) | F(m0)": 47, "T(m0) &": 40, "| T(m0)": 32, "T(m0) T(m0)": 40}
+    where = f"line 3, column {column[clause]}" if clause in column else "line 3"
     text = f"component c {{ a }}\nmonitor m0 @ c := a\nmonitor m1 @ c := m0 trigger {{ {clause} }}"
-    with pytest.raises(SpecError, match=f"^line 3: {re.escape(message)}"):
+    with pytest.raises(SpecError, match=f"^{where}: {re.escape(message)}$"):
+        load_registry(text)
+
+
+COMPONENT = "component c { a }\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (COMPONENT + "monitor m @ c := a & (a", "line 2, column 24: expected RPAREN, found ''"),
+        (COMPONENT + "\t monitor m @ c :=a&(a", "line 2, column 23: expected RPAREN, found ''"),
+        (COMPONENT + "monitor m @ c := F<=\u00b2 a", "line 2, column 21: unexpected character '\u00b2'"),
+        (COMPONENT + "monitor m @ c := a @ b # @", "line 2, column 20: unexpected character '@'"),
+        (
+            COMPONENT + "monitor n @ c := a\nmonitor m @ c := n trigger { T(n) & }",
+            "line 3, column 37: unexpected token ''",
+        ),
+        (
+            COMPONENT + "monitor n @ c := a\nmonitor m @ c := n trigger {T(n)|?}",
+            "line 3, column 34: unexpected character '?'",
+        ),
+    ],
+)
+def test_parse_errors_name_one_position_in_the_spec(text, message):
+    # one line and one column, both of the spec, whatever the parser counted
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
         load_registry(text)
 
 
@@ -217,6 +249,21 @@ def test_names_are_identifiers_and_no_label_is_a_proposition(text, message):
 )
 def test_every_bundled_spec_loads(name):
     assert bundled(name).monitors
+
+
+def test_every_bundled_parse_is_pinned():
+    # the AST, the rendering and the expansion of all 157 bundled monitors,
+    # recorded before the LTL front end became one operator table
+    specs = sorted(glob.glob(os.path.join(os.path.dirname(registry.__file__), "specs", "*.dspec")))
+    digest = hashlib.sha256()
+    count = 0
+    for path in specs:
+        for label, decl in registry.load_registry_file(path).monitors.items():
+            row = (os.path.basename(path), label, repr(decl.formula), ltl.render(decl.formula))
+            digest.update(("\t".join(row) + f"\t{decl.expansion!r}\n").encode())
+            count += 1
+    assert count == 157
+    assert digest.hexdigest() == "6781ae4c1e7404f46b2e851308fad9c8e3a600f3d3de8e5592414f54db7eaaa5"
 
 
 def test_duplicate_label_rejected():
